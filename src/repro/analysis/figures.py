@@ -8,7 +8,7 @@ enough to eyeball the same shapes the paper plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 def render_bars(

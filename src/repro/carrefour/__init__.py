@@ -16,9 +16,6 @@ from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
 from repro.carrefour.heuristics import (
     Action,
     PageDecision,
-    interleave_decisions,
-    migration_decisions,
-    replication_decisions,
 )
 from repro.carrefour.engine import (
     CarrefourConfig,
@@ -32,9 +29,6 @@ __all__ = [
     "compute_metrics",
     "Action",
     "PageDecision",
-    "interleave_decisions",
-    "migration_decisions",
-    "replication_decisions",
     "CarrefourConfig",
     "CarrefourEngine",
     "SystemComponent",

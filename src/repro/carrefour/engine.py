@@ -21,15 +21,11 @@ from repro.carrefour.heuristics import (
     PageDecision,
     PlacementFn,
     interleave_candidates,
-    interleave_decisions,
     migration_candidates,
-    migration_decisions,
     replication_candidates,
-    replication_decisions,
     sample_arrays,
 )
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
-from repro.core import batch
 from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample, PerfCounters
 
@@ -91,9 +87,17 @@ class UserComponent:
         metrics: CarrefourMetrics,
         hot_pages: Sequence[HotPageSample],
         placement: PlacementFn,
-        placement_many=None,
     ) -> IterationResult:
-        """Choose heuristics from the global metrics, then pick pages."""
+        """Choose heuristics from the global metrics, then pick pages.
+
+        Pages are selected with array masks over the whole sample. The
+        budget counts candidates before cross-heuristic dedup (a page
+        decided by an earlier heuristic still uses up a later one's
+        slot), the first decision per page wins, and the interleave
+        targets are drawn as one array — ``rng.integers(n, size=k)``
+        consumes the stream exactly like ``k`` sequential scalar draws,
+        and an iteration without candidates draws nothing.
+        """
         result = IterationResult(metrics=metrics)
         if metrics.access_rate_per_s < self.config.min_access_rate_per_s:
             return result
@@ -107,72 +111,11 @@ class UserComponent:
         )
         result.migration_enabled = congested
         result.replication_enabled = congested and self.config.enable_replication
+        if not hot_pages:
+            return result
 
-        if placement_many is not None and batch.vectorized() and hot_pages:
-            pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
-            nodes = placement_many(pages)
-            if nodes is not None:
-                self._decide_batch(
-                    result, metrics, pages, domains, accesses,
-                    write_fraction, np.asarray(nodes),
-                )
-                return result
-
-        budget = self.config.migration_budget
-        decided_pages = set()
-
-        def remaining() -> int:
-            return budget - len(result.decisions)
-
-        if result.replication_enabled and remaining() > 0:
-            for decision in replication_decisions(
-                hot_pages, placement, remaining()
-            ):
-                result.decisions.append(decision)
-                decided_pages.add(decision.page)
-
-        if result.migration_enabled and remaining() > 0:
-            for decision in migration_decisions(
-                hot_pages,
-                placement,
-                remaining(),
-                self.config.single_node_share,
-            ):
-                if decision.page not in decided_pages:
-                    result.decisions.append(decision)
-                    decided_pages.add(decision.page)
-
-        if result.interleave_enabled and remaining() > 0:
-            candidates = [s for s in hot_pages if s.page not in decided_pages]
-            for decision in interleave_decisions(
-                candidates,
-                placement,
-                metrics.overloaded_nodes,
-                metrics.underloaded_nodes,
-                remaining(),
-                self.rng,
-            ):
-                result.decisions.append(decision)
-                decided_pages.add(decision.page)
-        return result
-
-    def _decide_batch(
-        self,
-        result: IterationResult,
-        metrics: CarrefourMetrics,
-        pages: np.ndarray,
-        domains: np.ndarray,
-        accesses: np.ndarray,
-        write_fraction: np.ndarray,
-        nodes: np.ndarray,
-    ) -> None:
-        """Mask-based page selection, decision-for-decision identical to
-        the scalar loops: same budget consumption (candidates count
-        against the budget before cross-heuristic dedup, as in the scalar
-        walk), same first-occurrence dedup order, and the interleave RNG
-        drawn as one array — ``rng.integers(n, size=k)`` consumes the
-        stream exactly like ``k`` sequential scalar draws.
-        """
+        pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
+        nodes = np.asarray(placement(pages))
         budget = self.config.migration_budget
         decisions = result.decisions
         decided: set = set()
@@ -233,6 +176,7 @@ class UserComponent:
                             Action.INTERLEAVE, int(dst),
                         )
                     )
+        return result
 
 
 class SystemComponent:
@@ -242,14 +186,11 @@ class SystemComponent:
         counters: the machine's performance counters; the component claims
             them exclusively — this is why the paper's Table 1 could not
             measure its metrics while Carrefour ran.
-        placement: resolves a page to its current node.
+        placement: resolves a page array to the node currently backing
+            each page (-1 where unmapped).
         apply_fn: executes one decision (a p2m migration in the Xen port,
             a direct page move in Linux mode); returns True when the page
             actually moved.
-        placement_many: optional batch form of ``placement`` — takes a
-            page array, returns per-page nodes with -1 for unmapped (or
-            None when batch resolution is unavailable, falling back to
-            the scalar walk).
     """
 
     OWNER = "carrefour"
@@ -259,12 +200,10 @@ class SystemComponent:
         counters: PerfCounters,
         placement: PlacementFn,
         apply_fn: Callable[[PageDecision], bool],
-        placement_many=None,
     ):
         self.counters = counters
         self.placement = placement
         self.apply_fn = apply_fn
-        self.placement_many = placement_many
         reg = obs.registry()
         self._total_applied = reg.counter("carrefour.applied")
         self._total_commands = reg.counter("carrefour.commands")
@@ -334,10 +273,7 @@ class CarrefourEngine:
         """One sampling/decision/apply cycle."""
         metrics = compute_metrics(observation)
         result = self.user.decide(
-            metrics,
-            observation.hot_pages,
-            self.system.placement,
-            self.system.placement_many,
+            metrics, observation.hot_pages, self.system.placement
         )
         if result.decisions:
             result.applied = self.command_channel(result.decisions)

@@ -26,7 +26,6 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import batch
 from repro.core.page_queue import PageEventBatch
 from repro.errors import P2MError
 from repro.hardware.machine import Machine
@@ -113,7 +112,7 @@ class InternalInterface:
         back to the per-page loop when a sanitizer is attached so traps
         keep their scalar ordering.
         """
-        if domain.p2m.sanitizer is not None or not batch.vectorized():
+        if domain.p2m.sanitizer is not None:
             return sum(
                 1
                 for gpfn in np.asarray(gpfns, dtype=np.int64).tolist()
@@ -181,14 +180,8 @@ class InternalInterface:
             return None
         return self.machine.node_of_frame(entry.mfn)
 
-    def nodes_of_gpfns(self, domain: Domain, gpfns) -> Optional[np.ndarray]:
-        """Batch :meth:`node_of_gpfn`: node per gpfn, -1 where unmapped.
-
-        Returns None when the domain's p2m has no frame geometry attached
-        (callers then fall back to per-page lookups).
-        """
-        if domain.p2m.frames_per_node is None:
-            return None
+    def nodes_of_gpfns(self, domain: Domain, gpfns) -> np.ndarray:
+        """Batch :meth:`node_of_gpfn`: node per gpfn, -1 where unmapped."""
         return domain.p2m.nodes_of(gpfns)
 
     def take_migration_seconds(self) -> float:

@@ -40,8 +40,6 @@ Fallback rules (a request executes through plain
   simulated clock per world — interleaving K worlds would reorder them,
   so tracing keeps the serial path (the experiment CLI already forces
   ``--jobs 1`` under ``--trace`` for the same reason).
-* :func:`scalar_multirun` — the committed oracle switch, used by the
-  perfbench serial leg and the parity tests.
 * a group (or chunk) of one: nothing to batch.
 
 Worlds that end (all runs finished, or the epoch cap) are masked out of
@@ -52,7 +50,6 @@ the group at their exact scalar exit time and finalized with the same
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -76,44 +73,6 @@ from repro.sim.environment import World
 from repro.sim.instance import AppRun
 from repro.sim.results import EpochRecord, RunResult
 from repro.sim.runspec import RunRequest
-
-
-class _MultiRunMode:
-    """Holds the process-wide multi-run switch (cf. ``core.batch``)."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-_MODE = _MultiRunMode()
-
-
-def multirun_enabled() -> bool:
-    """True when groups may take the structure-of-arrays path."""
-    return _MODE.enabled
-
-
-def set_multirun(on: bool) -> None:
-    """Flip the batched engine globally (the oracle turns it off)."""
-    _MODE.enabled = bool(on)
-
-
-@contextmanager
-def scalar_multirun() -> Iterator[None]:
-    """Run a block with the batched engine disabled.
-
-    Inside the block :func:`run_worlds` and :func:`execute_batch` take
-    the committed per-world scalar path — the oracle the perfbench
-    serial leg times and the parity tests compare against.
-    """
-    previous = _MODE.enabled
-    set_multirun(False)
-    try:
-        yield
-    finally:
-        set_multirun(previous)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +143,7 @@ def execute_batch(
     results: List[Optional[List[RunResult]]] = [None] * len(requests)
     groups: dict = {}
     fallback: List[int] = []
-    can_batch = batch_worlds > 1 and multirun_enabled() and not obs.enabled()
+    can_batch = batch_worlds > 1 and not obs.enabled()
     for i, request in enumerate(requests):
         signature = group_signature(request) if can_batch else None
         if signature is None:
@@ -518,14 +477,14 @@ def run_worlds(
     """Simulate compatible worlds together; one result list per world.
 
     Bit-identical to calling :func:`~repro.sim.engine.run_world` on each
-    world alone. Falls back to exactly that under
-    :func:`scalar_multirun`, under an active observability session (per-
-    world trace/metric ordering), or for a single world.
+    world alone. Falls back to exactly that under an active
+    observability session (per-world trace/metric ordering), or for a
+    single world.
     """
     worlds = list(worlds)
     if not worlds:
         return []
-    if not multirun_enabled() or obs.enabled() or len(worlds) == 1:
+    if obs.enabled() or len(worlds) == 1:
         return [
             run_world(w, max_epochs=max_epochs, solver_epsilon=solver_epsilon)
             for w in worlds

@@ -55,7 +55,6 @@ class CarrefourPolicy(NumaPolicy):
             counters=internal.machine.counters,
             placement=self._placement,
             apply_fn=self._apply_decision,
-            placement_many=self._placement_many,
         )
         self.engine = CarrefourEngine(
             system=system,
@@ -117,14 +116,9 @@ class CarrefourPolicy(NumaPolicy):
     # ------------------------------------------------------------------
     # System component callbacks
 
-    def _placement(self, page: int) -> Optional[int]:
+    def _placement(self, pages: np.ndarray) -> np.ndarray:
         if self._current_domain is None:
-            return None
-        return self.internal.node_of_gpfn(self._current_domain, page)
-
-    def _placement_many(self, pages) -> Optional[np.ndarray]:
-        if self._current_domain is None:
-            return None
+            return np.full(len(pages), -1, dtype=np.int64)
         return self.internal.nodes_of_gpfns(self._current_domain, pages)
 
     def _apply_decision(self, decision: PageDecision) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.core import batch
 from repro.core.interface import InternalInterface
 from repro.core.page_queue import (
     PageEvent,
@@ -86,7 +85,7 @@ class FirstTouchPolicy(NumaPolicy):
         self, domain: Domain, events: Sequence[PageEvent]
     ) -> Tuple[int, int]:
         """Replay one flushed queue, newest entry first (section 4.2.4)."""
-        if isinstance(events, PageEventBatch) and batch.vectorized():
+        if isinstance(events, PageEventBatch):
             release_gpfns, skipped = newest_wins(events)
             invalidated = self.internal.invalidate_pages(domain, release_gpfns)
         else:

@@ -75,7 +75,7 @@ class LinuxNumaMode:
         if carrefour:
             system = SystemComponent(
                 counters=machine.counters,
-                placement=self.node_of_page,
+                placement=self.nodes_of_pages,
                 apply_fn=self._apply_decision,
             )
             self.engine = CarrefourEngine(
@@ -128,6 +128,19 @@ class LinuxNumaMode:
         if mfn is None:
             return None
         return self.machine.node_of_frame(mfn)
+
+    def nodes_of_pages(self, vpfns: np.ndarray) -> np.ndarray:
+        """Node backing each virtual page (-1 where unmapped)."""
+        frames = self._frames
+        mfns = np.fromiter(
+            (frames.get(vpfn, -1) for vpfn in np.asarray(vpfns).tolist()),
+            dtype=np.int64,
+            count=len(vpfns),
+        )
+        nodes = np.full(mfns.shape, -1, dtype=np.int64)
+        mapped = mfns >= 0
+        nodes[mapped] = self.machine.nodes_of_frames(mfns[mapped])
+        return nodes
 
     def on_epoch(self, observation: EpochObservation) -> float:
         """Run one Carrefour iteration (no-op without the daemon)."""

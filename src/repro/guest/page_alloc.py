@@ -18,7 +18,7 @@ Two flavours, matching the two execution modes of the evaluation:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 

@@ -7,8 +7,8 @@ These classes live strictly on the guest side of that gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.vmm import GuestAddressSpace

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core import batch
 from repro.core.interface import ExternalInterface
 from repro.core.page_queue import PageOp, PartitionedPageQueue
 from repro.guest.page_alloc import GuestPageAllocator
@@ -76,17 +75,10 @@ class PvNumaPatch:
         hypervisor can invalidate every page the guest is not using.
         Returns the number of pages reported.
         """
-        if batch.vectorized():
-            free = np.fromiter(self.allocator.iter_free(), dtype=np.int64)
-            self.queue.record_many(PageOp.RELEASE, free)
-            self.queue.flush_all()
-            return int(free.size)
-        count = 0
-        for gpfn in self.allocator.iter_free():
-            self.queue.record(PageOp.RELEASE, gpfn)
-            count += 1
+        free = np.fromiter(self.allocator.iter_free(), dtype=np.int64)
+        self.queue.record_many(PageOp.RELEASE, free)
         self.queue.flush_all()
-        return count
+        return int(free.size)
 
     def select_policy(self, policy: str, carrefour: Optional[bool] = None):
         """Guest-initiated policy selection (first external hypercall)."""

@@ -11,11 +11,10 @@ hypervisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import GuestFaultError
-from repro.guest.page_alloc import GuestPageAllocator
 from repro.guest.process import Thread
 
 #: Picks the backing page for a faulting virtual page:

@@ -15,7 +15,7 @@ without trapping into the hypervisor. Two properties matter for the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -21,7 +21,7 @@ page tables live on a remote node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import ReproError

@@ -29,14 +29,6 @@ from repro.hardware.machine import Machine
 from repro.hypervisor.domain import Domain
 from repro.util import RoundRobin as _RoundRobin
 
-
-def _vectorized() -> bool:
-    # Imported lazily: repro.core's package init imports this module
-    # (via the interface), so a top-level import would be circular.
-    from repro.core import batch
-
-    return batch.vectorized()
-
 GIB = 1 << 30
 MIB_2 = 2 << 20
 
@@ -162,11 +154,7 @@ class XenHeapAllocator:
     def depopulate(self, domain: Domain) -> int:
         """Free every frame of the domain (teardown). Returns frames freed."""
         p2m = domain.p2m
-        if (
-            _vectorized()
-            and p2m.sanitizer is None
-            and self.machine.memory.sanitizer is None
-        ):
+        if p2m.sanitizer is None and self.machine.memory.sanitizer is None:
             gpfns = np.arange(
                 domain.gpfn_range().start,
                 domain.gpfn_range().stop,
@@ -221,7 +209,7 @@ class XenHeapAllocator:
         memory = self.machine.memory
         if count < 1:
             return np.empty(0, dtype=np.int64)
-        if memory.sanitizer is not None or not _vectorized():
+        if memory.sanitizer is not None:
             return np.fromiter(
                 (self.alloc_page_on(node) for _ in range(count)),
                 dtype=np.int64,
@@ -246,7 +234,7 @@ class XenHeapAllocator:
 
     def free_pages(self, mfns: Union[Sequence[int], np.ndarray]) -> None:
         """Return a batch of single frames to the heap."""
-        if self.machine.memory.sanitizer is not None or not _vectorized():
+        if self.machine.memory.sanitizer is not None:
             for mfn in np.asarray(mfns, dtype=np.int64).tolist():
                 self.free_page(mfn)
             return
@@ -261,11 +249,7 @@ class XenHeapAllocator:
         if count < 1:
             return gpfn
         memory = self.machine.memory
-        if (
-            not _vectorized()
-            or domain.p2m.sanitizer is not None
-            or memory.sanitizer is not None
-        ):
+        if domain.p2m.sanitizer is not None or memory.sanitizer is not None:
             for _ in range(count):
                 node = rr.next()
                 mfn = self.alloc_page_on(node)
@@ -314,11 +298,7 @@ class XenHeapAllocator:
                 if mfn is None:
                     continue
                 rr.next()
-                if (
-                    region > 1
-                    and _vectorized()
-                    and domain.p2m.sanitizer is None
-                ):
+                if region > 1 and domain.p2m.sanitizer is None:
                     domain.p2m.set_entries(
                         np.arange(gpfn, gpfn + region, dtype=np.int64),
                         np.arange(mfn, mfn + region, dtype=np.int64),

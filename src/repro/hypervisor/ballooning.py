@@ -18,8 +18,8 @@ the whole time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Set
 
 from repro.errors import HypercallError
 from repro.hypervisor.allocator import XenHeapAllocator

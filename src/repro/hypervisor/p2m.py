@@ -13,7 +13,7 @@ the paper (section 4.1):
   frame, then remapping.
 
 Like a real page table — and unlike the dict-of-objects backend this
-replaced (kept as :class:`repro.perfbench.oracle.DictP2MTable`) — the
+replaced (kept as the test oracle ``tests.oracles.DictP2MTable``) — the
 table is contiguous array state: parallel ``mfn``/``flags``/``node``
 arrays indexed by gpfn, with maintained entry/valid counts. The scalar
 method API is unchanged; ``set_entries``/``invalidate_many``/

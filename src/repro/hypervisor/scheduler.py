@@ -11,7 +11,7 @@ progress, and validates placement requests.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.hypervisor.domain import Domain, VCpu

@@ -29,7 +29,6 @@ _LAZY = {
     "FileContext": "repro.lint.visitor",
     "all_rules": "repro.lint.registry",
     "get_rules": "repro.lint.registry",
-    "register": "repro.lint.registry",
 }
 
 

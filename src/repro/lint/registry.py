@@ -1,32 +1,17 @@
-"""Rule registry: rules self-register via the :func:`register` decorator."""
+"""Rule lookup over the explicit roster :data:`repro.lint.rules.RULES`."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Type
 
 from repro.errors import ReproError
+from repro.lint.rules import RULES
 from repro.lint.visitor import Rule
-
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the registry (ids must be unique)."""
-    if not cls.rule_id or not cls.name:
-        raise ReproError(f"rule {cls.__name__} needs rule_id and name")
-    existing = _REGISTRY.get(cls.rule_id)
-    if existing is not None and existing is not cls:
-        raise ReproError(f"duplicate rule id {cls.rule_id}")
-    _REGISTRY[cls.rule_id] = cls
-    return cls
 
 
 def all_rules() -> List[Type[Rule]]:
-    """Every registered rule class, sorted by id."""
-    # Importing the rules package runs the @register decorators.
-    import repro.lint.rules  # noqa: F401  (import for side effect)
-
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
+    """Every shipped rule class, in rule-id order."""
+    return list(RULES)
 
 
 def get_rules(

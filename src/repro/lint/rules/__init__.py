@@ -1,4 +1,9 @@
-"""The shipped lint rules; importing this package registers them all."""
+"""The shipped lint rules.
+
+:data:`RULES` is the explicit roster, in rule-id order: adding a rule
+means adding its class here. ``tests/lint/test_rules.py`` checks the ids
+are unique and every rule names itself.
+"""
 
 from repro.lint.rules.array_aliasing import (
     ArrayAliasParamRule,
@@ -13,7 +18,21 @@ from repro.lint.rules.p2m_typestate import P2MTypestateRule
 from repro.lint.rules.purity import PurityRule
 from repro.lint.rules.shared_state import SharedMutableStateRule
 
+RULES = (
+    InterfaceEncapsulationRule,
+    DeterminismRule,
+    ErrorDisciplineRule,
+    HypercallValidationRule,
+    MigrationProtocolRule,
+    SharedMutableStateRule,
+    PurityRule,
+    P2MTypestateRule,
+    ArrayAliasReturnRule,
+    ArrayAliasParamRule,
+)
+
 __all__ = [
+    "RULES",
     "InterfaceEncapsulationRule",
     "DeterminismRule",
     "ErrorDisciplineRule",

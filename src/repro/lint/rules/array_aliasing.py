@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.lint.findings import Finding
 from repro.lint.project import FuncDef, ProjectContext, ProjectRule
-from repro.lint.registry import register
 from repro.lint.visitor import dotted_name
 
 #: numpy array constructors (with and without the canonical aliases).
@@ -173,7 +172,6 @@ def _setflags_frozen_locals(func: ast.AST) -> Set[str]:
     return frozen
 
 
-@register
 class ArrayAliasReturnRule(ProjectRule):
     rule_id = "RPR009"
     name = "array-aliasing-return"
@@ -369,7 +367,6 @@ class ArrayAliasReturnRule(ProjectRule):
         return leaky
 
 
-@register
 class ArrayAliasParamRule(ProjectRule):
     rule_id = "RPR010"
     name = "array-aliasing-param"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule, call_name
 
 #: Wall-clock reads (module.function dotted names).
@@ -56,7 +55,6 @@ NP_RANDOM_ALLOWED = frozenset(
 _NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
 
 
-@register
 class DeterminismRule(Rule):
     rule_id = "RPR002"
     name = "determinism"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule
 
 #: Path segments that mark a file as policy-layer code.
@@ -52,7 +51,6 @@ FORBIDDEN_CALLS = frozenset(
 )
 
 
-@register
 class InterfaceEncapsulationRule(Rule):
     rule_id = "RPR001"
     name = "interface-encapsulation"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast
 from typing import Set
 
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule
 
 #: Path segments whose raise statements must use repro.errors types.
@@ -34,7 +33,6 @@ ATTR_PROTOCOL_FUNCS = frozenset({"__getattr__", "__getattribute__"})
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
 
 
-@register
 class ErrorDisciplineRule(Rule):
     rule_id = "RPR003"
     name = "error-discipline"

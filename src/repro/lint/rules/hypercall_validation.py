@@ -15,7 +15,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Union
 
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -71,7 +70,6 @@ def _state_touches(stmt: ast.stmt, self_name: str) -> Iterator[ast.AST]:
             yield node
 
 
-@register
 class HypercallValidationRule(Rule):
     rule_id = "RPR004"
     name = "hypercall-validation"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 from typing import Set, Union
 
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -34,7 +33,6 @@ def _receiver(func: ast.Attribute) -> str:
     return ast.unparse(func.value)
 
 
-@register
 class MigrationProtocolRule(Rule):
     rule_id = "RPR005"
     name = "migration-protocol"

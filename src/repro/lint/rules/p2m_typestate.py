@@ -38,7 +38,6 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.lint.findings import Finding
 from repro.lint.project import FuncDef, ProjectContext, ProjectRule
-from repro.lint.registry import register
 from repro.lint.visitor import FileContext
 
 #: Path segments that scope this rule (hypervisor + policy layers).
@@ -176,7 +175,6 @@ def _copy(env: Env) -> Env:
     return {k: set(v) for k, v in env.items()}
 
 
-@register
 class P2MTypestateRule(ProjectRule):
     rule_id = "RPR008"
     name = "p2m-typestate"

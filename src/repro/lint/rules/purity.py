@@ -23,7 +23,6 @@ from typing import List
 
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectContext, ProjectRule
-from repro.lint.registry import register
 
 #: The purity roots: every project function with this bare name.
 ROOT_NAME = "execute_request"
@@ -48,7 +47,6 @@ def _chain_text(chain) -> str:
     return " -> ".join(parts)
 
 
-@register
 class PurityRule(ProjectRule):
     rule_id = "RPR007"
     name = "purity"

@@ -23,10 +23,8 @@ from typing import List
 
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectContext, ProjectRule
-from repro.lint.registry import register
 
 
-@register
 class SharedMutableStateRule(ProjectRule):
     rule_id = "RPR006"
     name = "shared-mutable-state"

@@ -28,9 +28,9 @@ from repro.errors import SanitizerError
 class _SanitizerMode:
     """Holds the process-wide global-enable switch.
 
-    An attribute on one holder object (the ``core.batch`` idiom) rather
-    than a rebound module global, so the dataflow lint can see the write
-    is confined to one owned object.
+    An attribute on one holder object rather than a rebound module
+    global, so the dataflow lint can see the write is confined to one
+    owned object.
     """
 
     __slots__ = ("enabled",)

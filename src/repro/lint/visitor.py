@@ -122,7 +122,7 @@ class Rule(abc.ABC):
 
     Subclasses set :attr:`rule_id`, :attr:`name` and :attr:`description`,
     then implement ``visit_<NodeType>(node, ctx)`` generators yielding
-    findings. Register with :func:`repro.lint.registry.register`.
+    findings. List the class in :data:`repro.lint.rules.RULES`.
     """
 
     #: Stable identifier, e.g. ``RPR001``.

@@ -1,9 +1,9 @@
-"""Timeit-based measurement of the engine and the solver hot path.
+"""Timeit-based measurement of the engine, migration and multi-run paths.
 
 Every measurement here is wall-clock-free in *our* code: timing is
 delegated to :class:`timeit.Timer`, worlds are rebuilt from a seeded
-config for every sample, and the microbenchmark's access matrix comes
-from a generator seeded by ``SimConfig.rng_seed``.
+config for every sample, and the migration microbenchmark's dirty sets
+come from a generator seeded by ``SimConfig.rng_seed``.
 """
 
 from __future__ import annotations
@@ -15,28 +15,15 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.config import SimConfig
-from repro.core.multirun import run_worlds, scalar_multirun
-from repro.hardware.presets import amd48
+from repro.core.multirun import run_worlds
 from repro.hypervisor.domain import Domain
-from repro.perfbench import oracle
 from repro.perfbench.worlds import WORLD_PRESETS, build_world
 from repro.runner import build_world as build_request_world
-from repro.sim.engine import CongestionSolver, run_world
+from repro.sim.engine import run_world
 from repro.sim.runspec import RunRequest, VmRequest
 
 #: timeit repetitions per world preset.
 DEFAULT_REPEAT = 5
-#: timeit repetitions of the page-path comparison (each sample simulates
-#: a full page-heavy world twice, so this stays smaller than the world
-#: benchmarks' repeat).
-DEFAULT_PAGE_PATH_REPEAT = 3
-#: World preset used for the page-path comparison.
-PAGE_PATH_PRESET = "xlarge"
-#: Solver (congestion + latency_matrix) invocations per microbench sample.
-DEFAULT_SOLVER_ITERATIONS = 200
-#: Mean access-matrix entry of the microbenchmark (accesses per epoch
-#: between one node pair — enough to load controllers and links).
-MICROBENCH_TRAFFIC = 3e7
 #: Worlds per multi-run sweep sample (the issue's acceptance bar is
 #: phrased over a 16-world sweep).
 MULTI_RUN_WORLDS = 16
@@ -105,94 +92,6 @@ def bench_world(
     return stats
 
 
-def bench_solver(
-    config: SimConfig,
-    repeat: int = DEFAULT_REPEAT,
-    iterations: int = DEFAULT_SOLVER_ITERATIONS,
-) -> Dict[str, float]:
-    """Microbenchmark the 8-node solve loop against the loop oracle.
-
-    One iteration is one ``congestion()`` + ``latency_matrix()`` pass over
-    a seeded random access matrix on the AMD48 machine — the exact work
-    the engine performs per fixed-point round.
-    """
-    machine = amd48(config=config)
-    solver = CongestionSolver(machine)
-    rng = np.random.default_rng(config.rng_seed)
-    n = machine.num_nodes
-    matrix = rng.uniform(0.0, MICROBENCH_TRAFFIC, size=(n, n))
-
-    def vectorized() -> None:
-        rho_c, rho_l = solver.congestion(matrix, 1.0)
-        solver.latency_matrix(rho_c, rho_l)
-
-    def loop() -> None:
-        rho_c, rho_l = oracle.loop_congestion(solver, matrix, 1.0)
-        oracle.loop_latency_matrix(solver, rho_c, rho_l)
-
-    vec_s = min(
-        timeit.Timer(vectorized).repeat(repeat=max(1, repeat), number=iterations)
-    )
-    loop_s = min(
-        timeit.Timer(loop).repeat(repeat=max(1, repeat), number=iterations)
-    )
-    return {
-        "iterations": float(iterations),
-        "vectorized_seconds": vec_s,
-        "loop_seconds": loop_s,
-        "speedup": loop_s / vec_s if vec_s else float("inf"),
-    }
-
-
-def bench_page_path(
-    config: SimConfig,
-    repeat: int = DEFAULT_PAGE_PATH_REPEAT,
-    preset: str = PAGE_PATH_PRESET,
-) -> Dict[str, float]:
-    """Array-backed page path vs the dict/loop oracle on a page-heavy world.
-
-    Times ``run_world`` (which includes guest init — the fault storm the
-    page scale multiplies) on the same preset twice: once with the
-    vectorized backend and once under :func:`oracle.scalar_page_path`,
-    which swaps in the dict-backed P2M and forces every batch entry point
-    through its scalar loop. The world is built *inside* the oracle
-    context so domain creation itself uses the dict table. Both runs must
-    produce identical epoch counts — the speedup is only meaningful if
-    the two backends did the same work.
-    """
-
-    def sample(scalar: bool) -> float:
-        world = build_world(preset, config)
-        holder: Dict[str, object] = {}
-
-        def timed() -> None:
-            holder["results"] = run_world(world)
-
-        seconds = timeit.Timer(timed).timeit(number=1)
-        epochs_seen.add(max(r.epochs for r in holder["results"]))
-        return seconds
-
-    epochs_seen: set = set()
-    vec_samples = [sample(scalar=False) for _ in range(max(1, repeat))]
-    scalar_samples = []
-    with oracle.scalar_page_path():
-        for _ in range(max(1, repeat)):
-            scalar_samples.append(sample(scalar=True))
-    vec_s = float(np.median(vec_samples))
-    scalar_s = float(np.median(scalar_samples))
-    return {
-        "preset": preset,
-        "repeat": float(max(1, repeat)),
-        "epochs": float(max(epochs_seen)),
-        "results_match": float(len(epochs_seen) == 1),
-        "vectorized_median_seconds": vec_s,
-        "scalar_median_seconds": scalar_s,
-        "vectorized_min_seconds": float(np.min(vec_samples)),
-        "scalar_min_seconds": float(np.min(scalar_samples)),
-        "speedup": scalar_s / vec_s if vec_s else float("inf"),
-    }
-
-
 def _multi_run_requests(config: SimConfig, num_worlds: int) -> List[RunRequest]:
     """The sweep's requests: seeded, group-compatible, all distinct."""
     return [
@@ -228,9 +127,9 @@ def bench_multi_run(
     (four 6-vCPU VMs per world, app mixes and policies cycling, one
     seed per world) twice over fresh worlds: once through
     :func:`repro.core.multirun.run_worlds` and once world-by-world
-    under :func:`~repro.core.multirun.scalar_multirun` — the committed
-    scalar oracle, i.e. exactly what a sweep driver without the batched
-    engine would execute. World building is untimed in both legs.
+    through :func:`~repro.sim.engine.run_world` — exactly what a sweep
+    driver without the batched engine would execute. World building is
+    untimed in both legs.
     ``results_match`` checks the full report output of every sample is
     byte-identical between the legs (sorted-key JSON of every
     ``RunResult``).
@@ -250,8 +149,7 @@ def bench_multi_run(
         serial_worlds = [build_request_world(r) for r in requests]
 
         def serial() -> None:
-            with scalar_multirun():
-                holder["serial"] = [run_world(w) for w in serial_worlds]
+            holder["serial"] = [run_world(w) for w in serial_worlds]
 
         serial_samples.append(timeit.Timer(serial).timeit(number=1))
         matches = matches and json.dumps(
@@ -271,7 +169,7 @@ def bench_multi_run(
         "serial_median_seconds": float(np.median(serial_samples)),
         "batched_min_seconds": batched_min,
         "serial_min_seconds": serial_min,
-        # Fastest-over-fastest, like the solver and migration sections:
+        # Fastest-over-fastest, like the migration section:
         # timeit's standard defense against scheduler noise (the slower
         # samples measure the host, not the code).
         "speedup": serial_min / batched_min if batched_min else float("inf"),
@@ -367,9 +265,6 @@ def run_benchmarks(
     config: Optional[SimConfig] = None,
     repeat: int = DEFAULT_REPEAT,
     worlds: Optional[Iterable[str]] = None,
-    solver_iterations: int = DEFAULT_SOLVER_ITERATIONS,
-    page_path: bool = True,
-    page_path_repeat: int = DEFAULT_PAGE_PATH_REPEAT,
     migration: bool = True,
     multi_run: bool = True,
     multi_run_repeat: int = DEFAULT_MULTI_RUN_REPEAT,
@@ -385,12 +280,7 @@ def run_benchmarks(
             preset: bench_world(preset, config, repeat=repeat)
             for preset in selected
         },
-        "solver_microbench": bench_solver(
-            config, repeat=repeat, iterations=solver_iterations
-        ),
     }
-    if page_path:
-        payload["page_path"] = bench_page_path(config, repeat=page_path_repeat)
     if migration:
         payload["migration"] = bench_migration(config, repeat=repeat)
     if multi_run:

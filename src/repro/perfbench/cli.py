@@ -25,9 +25,7 @@ from repro import obs
 from repro.config import SimConfig
 from repro.perfbench.bench import (
     DEFAULT_MULTI_RUN_REPEAT,
-    DEFAULT_PAGE_PATH_REPEAT,
     DEFAULT_REPEAT,
-    DEFAULT_SOLVER_ITERATIONS,
     run_benchmarks,
 )
 from repro.perfbench.worlds import WORLD_PRESETS
@@ -36,7 +34,8 @@ from repro.perfbench.worlds import WORLD_PRESETS
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perfbench",
-        description="Benchmark run_world and the congestion-solver hot path.",
+        description="Benchmark run_world, live-migration copies and the "
+        "multi-run engine.",
     )
     parser.add_argument(
         "--label",
@@ -57,18 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="world presets to time (default: all)",
     )
     parser.add_argument(
-        "--solver-iterations",
-        type=int,
-        default=DEFAULT_SOLVER_ITERATIONS,
-        help="solver passes per microbench sample "
-        f"(default: {DEFAULT_SOLVER_ITERATIONS})",
-    )
-    parser.add_argument(
-        "--no-page-path",
-        action="store_true",
-        help="skip the page-path (array vs dict/loop p2m) comparison",
-    )
-    parser.add_argument(
         "--no-migration",
         action="store_true",
         help="skip the migration (batched vs scalar dirty-round copy) "
@@ -85,13 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MULTI_RUN_REPEAT,
         help="timeit repetitions of the multi-run comparison "
         f"(default: {DEFAULT_MULTI_RUN_REPEAT})",
-    )
-    parser.add_argument(
-        "--page-path-repeat",
-        type=int,
-        default=DEFAULT_PAGE_PATH_REPEAT,
-        help="timeit repetitions of the page-path comparison "
-        f"(default: {DEFAULT_PAGE_PATH_REPEAT})",
     )
     parser.add_argument(
         "--seed",
@@ -126,24 +106,6 @@ def _print_report(payload: dict, out) -> None:
             f"(IQR {stats['iqr_seconds']:.3f}s), "
             f"{stats['epochs']:.0f} epochs, "
             f"{stats['epochs_per_second']:.1f} epochs/s",
-            file=out,
-        )
-    micro = payload["solver_microbench"]
-    print(
-        f"  solver : vectorized {micro['vectorized_seconds']:.4f}s vs "
-        f"loop {micro['loop_seconds']:.4f}s over "
-        f"{micro['iterations']:.0f} iterations -> "
-        f"{micro['speedup']:.1f}x",
-        file=out,
-    )
-    page_path = payload.get("page_path")
-    if page_path:
-        match = "ok" if page_path["results_match"] else "MISMATCH"
-        print(
-            f"  page_path [{page_path['preset']}]: vectorized "
-            f"{page_path['vectorized_median_seconds']:.3f}s vs scalar oracle "
-            f"{page_path['scalar_median_seconds']:.3f}s -> "
-            f"{page_path['speedup']:.1f}x (epochs {match})",
             file=out,
         )
     migration = payload.get("migration")
@@ -183,14 +145,6 @@ def _print_delta(payload: dict, baseline: dict, out) -> None:
             f"({stats['median_seconds']:.3f}s vs {ref['median_seconds']:.3f}s)",
             file=out,
         )
-    ref_micro = baseline.get("solver_microbench")
-    if ref_micro:
-        micro = payload["solver_microbench"]
-        print(
-            f"  solver : speedup {micro['speedup']:.1f}x "
-            f"(baseline {ref_micro['speedup']:.1f}x)",
-            file=out,
-        )
     ref_migration = baseline.get("migration")
     migration = payload.get("migration")
     if ref_migration and migration:
@@ -221,9 +175,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             config=config,
             repeat=args.repeat,
             worlds=args.worlds,
-            solver_iterations=args.solver_iterations,
-            page_path=not args.no_page_path,
-            page_path_repeat=args.page_path_repeat,
             migration=not args.no_migration,
             multi_run=not args.no_multi_run,
             multi_run_repeat=args.multi_run_repeat,

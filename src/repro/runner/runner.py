@@ -16,11 +16,11 @@ from repro.sim.runspec import RunRequest
 class _ScopeAllocator:
     """Hands out deterministic per-process runner ordinals.
 
-    An attribute on one holder object (the ``core.batch`` idiom) rather
-    than a rebound module global, so the dataflow lint can see the write
-    is confined to one owned object. Creation order is deterministic
-    under serial execution, so identical invocations in fresh processes
-    label their cells identically (trace byte-identity holds).
+    An attribute on one holder object rather than a rebound module
+    global, so the dataflow lint can see the write is confined to one
+    owned object. Creation order is deterministic under serial
+    execution, so identical invocations in fresh processes label their
+    cells identically (trace byte-identity holds).
     """
 
     __slots__ = ("_next",)

@@ -147,13 +147,23 @@ class DiskRunStore(RunStore):
         """Remove temp-file litter left behind by crashed writers.
 
         Entry and version files only ever appear via an atomic rename, so
-        any temp file present when the store is (re)opened belongs to a
-        writer that died mid-save and would otherwise be ignored forever.
+        a temp file nobody is writing belongs to a writer that died
+        mid-save and would otherwise be ignored forever. Version temps
+        are only written under the version lock, so they are swept under
+        it too: a concurrent opener that holds the lock may be between
+        ``mkstemp`` and ``os.replace`` in :meth:`_write_version`, and its
+        staged file is not litter. The lock is taken only when there is
+        something to sweep, so opening a clean store stays lock-free.
         """
         removed = 0
         for stale in self._tmp_files_on_open():
             self._discard(stale)
             removed += 1
+        if any(self._version_tmp_files()):
+            with self._version_lock():
+                for stale in self._version_tmp_files():
+                    self._discard(stale)
+                    removed += 1
         return removed
 
     # ------------------------------------------------------------------
@@ -169,18 +179,23 @@ class DiskRunStore(RunStore):
     def _tmp_files(self) -> Iterable[Path]:
         """Every staged-write temp file (crash litter candidates)."""
         yield from self.root.glob("*.json.tmp")
-        yield from self.root.glob(f"{_VERSION_FILE}.*.tmp")
+        yield from self._version_tmp_files()
+
+    def _version_tmp_files(self) -> Iterable[Path]:
+        """Staged version-file writes (only ever created under the lock)."""
+        return self.root.glob(f"{_VERSION_FILE}.*.tmp")
 
     def _tmp_files_on_open(self) -> Iterable[Path]:
-        """The temp files it is safe to sweep when (re)opening the store.
+        """The entry temp files it is safe to sweep without a lock on open.
 
-        The flat store is written by one process per open, so anything
-        staged is litter by the time a new open sees it. Layouts with
+        The flat store is written by one process per open, so any staged
+        entry is litter by the time a new open sees it. Layouts with
         concurrent writers (the sharded store) narrow this: an opener
         racing a live writer must not sweep the writer's in-progress
-        staging file out from under its rename.
+        staging file out from under its rename. Version temps are swept
+        separately, under the version lock (:meth:`_sweep_stale_tmp`).
         """
-        return self._tmp_files()
+        return self.root.glob("*.json.tmp")
 
     # ------------------------------------------------------------------
     # Backend interface

@@ -108,7 +108,8 @@ class ShardedDiskRunStore(DiskRunStore):
         # serve worker process re-opens the same directory), and an
         # in-progress `mkstemp` staging file is indistinguishable from
         # crash litter — so the open-time sweep covers only root-level
-        # version-file temps, never the shards. Shard litter is swept by
-        # ``clear()`` and the engine-version purge, which run when the
-        # store's contents are forfeit anyway.
-        return self.root.glob("engine_version.*.tmp")
+        # version-file temps (swept under the version lock by the base
+        # class), never the shards. Shard litter is swept by ``clear()``
+        # and the engine-version purge, which run when the store's
+        # contents are forfeit anyway.
+        return ()

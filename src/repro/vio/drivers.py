@@ -12,13 +12,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import SimConfig
 from repro.errors import ReproError
 from repro.hypervisor.domain import Domain
 from repro.vio.disk import DiskModel, IoMode
-from repro.vio.dma import DmaEngine, DmaTransfer
+from repro.vio.dma import DmaEngine
 
 
 @dataclass

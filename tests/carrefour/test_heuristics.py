@@ -1,15 +1,18 @@
-"""Carrefour's per-page heuristics."""
+"""Carrefour's per-page heuristics, as defined by the scalar oracle.
+
+The production decide path (mask form) is held to these definitions by
+``tests/properties/test_carrefour_decide_parity.py``.
+"""
 
 import numpy as np
-import pytest
 
-from repro.carrefour.heuristics import (
-    Action,
+from repro.carrefour.heuristics import Action
+from repro.hardware.counters import HotPageSample
+from tests.oracles import (
     interleave_decisions,
     migration_decisions,
     replication_decisions,
 )
-from repro.hardware.counters import HotPageSample
 
 
 def sample(page, accesses, write_fraction=0.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.carrefour.engine import CarrefourConfig
-from repro.core.policies.base import EpochObservation, PolicyName
+from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample
 from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.xen import Hypervisor

@@ -17,9 +17,7 @@ from repro.core.multirun import (
     BatchOutcome,
     execute_batch,
     group_signature,
-    multirun_enabled,
     run_worlds,
-    scalar_multirun,
 )
 from repro.errors import MultiRunError
 from repro.runner import Runner, execute_request
@@ -167,26 +165,6 @@ class TestBatchedParity:
         assert outcome.batched_runs == 0
         assert outcome.fallback_runs == 2
         assert dumps(outcome.results) == dumps(serial)
-
-    def test_scalar_multirun_is_the_oracle(self):
-        requests = [
-            xen_req("swaptions", "round-4k"),
-            xen_req("ep.D", "first-touch"),
-        ]
-        with scalar_multirun():
-            assert not multirun_enabled()
-            outcome = execute_batch(requests, 2)
-        assert multirun_enabled()
-        assert outcome.batched_runs == 0
-        assert dumps(outcome.results) == dumps(
-            [execute_request(r) for r in requests]
-        )
-
-    def test_scalar_multirun_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with scalar_multirun():
-                raise RuntimeError("boom")
-        assert multirun_enabled()
 
     def test_batch_worlds_one_is_all_fallback(self):
         outcome = execute_batch([xen_req("swaptions", "round-4k")], 1)

@@ -1,6 +1,5 @@
 """Native Linux NUMA modes: first-touch, round-4K, Carrefour backend."""
 
-import numpy as np
 import pytest
 
 from repro.carrefour.heuristics import Action, PageDecision

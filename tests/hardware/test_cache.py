@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.cache import CacheHierarchy, CacheLevel, HitProfile
+from repro.hardware.cache import CacheHierarchy
 from repro.hardware.presets import amd48_caches
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SimConfig
 from repro.errors import OutOfMemoryError
 from repro.hardware.presets import small_machine
 from repro.hypervisor.allocator import XenHeapAllocator, choose_home_nodes

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.core.interface import ExternalInterface, InternalInterface
-from repro.core.page_queue import PageOp
+from repro.core.interface import ExternalInterface
 from repro.core.policies.base import PolicyName
 from repro.errors import HypercallError
 from repro.guest.page_alloc import GuestPageAllocator
 from repro.guest.pv_patch import PvNumaPatch
 from repro.hypervisor.ballooning import BalloonDriver
-from repro.hypervisor.xen import Hypervisor
 
 
 @pytest.fixture

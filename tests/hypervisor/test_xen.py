@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.policies.base import PolicyName, PolicySpec
+from repro.core.policies.base import PolicyName
 from repro.errors import PolicyError
-from repro.hypervisor.xen import Hypervisor, XEN, XEN_PLUS
 
 
 class TestDom0:

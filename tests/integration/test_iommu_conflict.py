@@ -10,7 +10,6 @@ This is why the evaluation disables passthrough whenever first-touch runs.
 
 import pytest
 
-from repro.config import SimConfig
 from repro.core.interface import ExternalInterface
 from repro.core.policies.base import PolicyName
 from repro.guest.page_alloc import GuestPageAllocator

@@ -6,7 +6,6 @@ hypervisor*, a vCPU can migrate freely and the dynamic policy chases its
 pages. These tests exercise that exact scenario end to end.
 """
 
-import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.sim.engine import run_world

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.hypervisor.xen import XEN, XEN_PLUS
-from repro.sim.engine import run_app, run_apps
+from repro.sim.engine import run_app
 from repro.sim.environment import VmSpec, XenEnvironment
 from repro.workloads.suite import get_app
 

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.lint.analyzer import Analyzer
+from repro.lint.registry import all_rules
+from repro.lint.rules import RULES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -129,3 +131,16 @@ class TestFrameworkBehaviour:
     def test_select_by_name(self):
         findings = lint("bad_determinism.py", select=["determinism"])
         assert findings and rule_ids(findings) == {"RPR002"}
+
+
+class TestRuleRoster:
+    def test_rule_ids_unique_and_named(self):
+        ids = [cls.rule_id for cls in RULES]
+        assert len(ids) == len(set(ids))
+        names = [cls.name for cls in RULES]
+        assert len(names) == len(set(names))
+        assert all(cls.rule_id and cls.name for cls in RULES)
+
+    def test_all_rules_sorted_by_id(self):
+        ids = [cls.rule_id for cls in all_rules()]
+        assert ids == sorted(ids) == sorted(cls.rule_id for cls in RULES)

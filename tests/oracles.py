@@ -1,33 +1,41 @@
-"""The pre-vectorization scalar implementations, kept as the oracle.
+"""Scalar reference implementations the production paths are checked against.
 
-Two generations of fast path are anchored here:
+Each production fast path in ``repro`` replaced a plain loop; the loops
+are kept here, verbatim, as the oracles the parity tests drive:
 
 * the original O(n^2) per-(src, dst) congestion-solver loops that
   :class:`repro.sim.engine.CongestionSolver` replaced with matrix
-  products (PR 2);
+  products (``tests/sim/test_engine_vectorized.py``);
 * the original dict-of-:class:`P2MEntry` page table
-  (:class:`DictP2MTable`) and the :func:`scalar_page_path` context
-  manager that routes whole worlds through the scalar per-page loops
-  the array-backed page path replaced (PR 4).
+  (:class:`DictP2MTable`), whose loop-based batch methods *define* the
+  semantics of the array-backed :class:`repro.hypervisor.p2m.P2MTable`
+  (``tests/properties/test_page_path_parity.py``);
+* the per-sample Carrefour heuristics (:func:`migration_decisions`,
+  :func:`interleave_decisions`, :func:`replication_decisions`) that the
+  mask-based ``UserComponent.decide`` reproduces decision for decision
+  (``tests/properties/test_carrefour_decide_parity.py``).
 
-They are committed verbatim for two consumers: the perf microbenchmarks
-(the ``>= 3x`` speedup every perf PR demonstrates is measured against
-them) and the equivalence property tests. Do not optimise them — their
-value is being slow and obviously correct.
+Do not optimise them: their value is being slow and obviously correct.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from repro.core import batch
+from repro.carrefour.engine import CarrefourConfig, IterationResult
+from repro.carrefour.heuristics import Action, PageDecision
+from repro.carrefour.metrics import CarrefourMetrics
 from repro.errors import P2MError
-from repro.hardware.counters import CACHE_LINE_BYTES
+from repro.hardware.counters import CACHE_LINE_BYTES, HotPageSample
 from repro.hypervisor.p2m import P2MEntry
 from repro.sim.engine import CongestionSolver
+
+#: Returns the node currently backing a page (None if unmapped).
+PlacementFn = Callable[[int], Optional[int]]
 
 
 def loop_congestion(
@@ -72,7 +80,7 @@ def loop_latency_matrix(
 
 
 # ----------------------------------------------------------------------
-# The scalar page path (pre-PR 4)
+# The scalar page path
 
 _GpfnArray = Union[Sequence[int], np.ndarray]
 
@@ -257,21 +265,154 @@ class DictP2MTable:
         return np.asarray(nodes, dtype=np.int32)
 
 
-@contextmanager
-def scalar_page_path() -> Iterator[None]:
-    """Run a block on the pre-vectorization page path.
+# ----------------------------------------------------------------------
+# The scalar Carrefour heuristics
 
-    Newly built domains get a :class:`DictP2MTable` and every batch entry
-    point (touch loops, queue replay, Carrefour decision filtering, heap
-    population) falls back to its scalar per-page loop. The page-path
-    microbenchmark times the same world inside and outside this context.
+
+def migration_decisions(
+    hot_pages: Sequence[HotPageSample],
+    placement: PlacementFn,
+    budget: int,
+    single_node_share: float = 0.9,
+) -> List[PageDecision]:
+    """Migrate pages remotely accessed by (essentially) a single node.
+
+    A page qualifies when one node performs at least ``single_node_share``
+    of its accesses and the page does not already live there.
     """
-    from repro.hypervisor import domain as domain_module
+    decisions: List[PageDecision] = []
+    for sample in hot_pages:
+        if len(decisions) >= budget:
+            break
+        total = sample.total
+        if total == 0:
+            continue
+        dominant = sample.dominant_node
+        if sample.node_accesses[dominant] < single_node_share * total:
+            continue
+        current = placement(sample.page)
+        if current is None or current == dominant:
+            continue
+        decisions.append(
+            PageDecision(sample.page, sample.domain_id, Action.MIGRATE, dominant)
+        )
+    return decisions
 
-    original = domain_module.P2MTable
-    domain_module.P2MTable = DictP2MTable  # type: ignore[misc,assignment]
-    try:
-        with batch.scalar_mode():
-            yield
-    finally:
-        domain_module.P2MTable = original  # type: ignore[misc]
+
+def interleave_decisions(
+    hot_pages: Sequence[HotPageSample],
+    placement: PlacementFn,
+    overloaded: Sequence[int],
+    underloaded: Sequence[int],
+    budget: int,
+    rng: np.random.Generator,
+) -> List[PageDecision]:
+    """Randomly spread hot pages from overloaded to underloaded nodes."""
+    if not overloaded or not underloaded:
+        return []
+    overloaded_set = set(overloaded)
+    targets = list(underloaded)
+    decisions: List[PageDecision] = []
+    for sample in hot_pages:
+        if len(decisions) >= budget:
+            break
+        current = placement(sample.page)
+        if current is None or current not in overloaded_set:
+            continue
+        dst = int(targets[rng.integers(len(targets))])
+        decisions.append(
+            PageDecision(sample.page, sample.domain_id, Action.INTERLEAVE, dst)
+        )
+    return decisions
+
+
+def replication_decisions(
+    hot_pages: Sequence[HotPageSample],
+    placement: PlacementFn,
+    budget: int,
+    max_write_fraction: float = 0.05,
+    min_sharer_nodes: int = 2,
+) -> List[PageDecision]:
+    """Replicate hot, (almost) read-only pages shared by several nodes.
+
+    Kept for completeness and for the ablation benchmark; the engine
+    disables it by default, like the paper's Xen port.
+    """
+    decisions: List[PageDecision] = []
+    for sample in hot_pages:
+        if len(decisions) >= budget:
+            break
+        if sample.write_fraction > max_write_fraction:
+            continue
+        sharer_nodes = sum(1 for c in sample.node_accesses if c > 0)
+        if sharer_nodes < min_sharer_nodes:
+            continue
+        current = placement(sample.page)
+        if current is None:
+            continue
+        decisions.append(
+            PageDecision(sample.page, sample.domain_id, Action.REPLICATE, current)
+        )
+    return decisions
+
+
+def scalar_decide(
+    config: CarrefourConfig,
+    rng: np.random.Generator,
+    metrics: CarrefourMetrics,
+    hot_pages: Sequence[HotPageSample],
+    placement: PlacementFn,
+) -> IterationResult:
+    """``UserComponent.decide`` as the original per-sample walk.
+
+    Heuristics are chosen from the global metrics exactly as in the
+    engine, then the scalar heuristics above pick pages one sample at a
+    time, with the shared budget and first-decision-wins dedup.
+    """
+    result = IterationResult(metrics=metrics)
+    if metrics.access_rate_per_s < config.min_access_rate_per_s:
+        return result
+
+    result.interleave_enabled = metrics.imbalance > config.imbalance_threshold
+    congested = (
+        metrics.max_link_rho > config.link_rho_threshold
+        or metrics.local_fraction < config.locality_threshold
+    )
+    result.migration_enabled = congested
+    result.replication_enabled = congested and config.enable_replication
+
+    budget = config.migration_budget
+    decided_pages = set()
+
+    def remaining() -> int:
+        return budget - len(result.decisions)
+
+    if result.replication_enabled and remaining() > 0:
+        for decision in replication_decisions(hot_pages, placement, remaining()):
+            result.decisions.append(decision)
+            decided_pages.add(decision.page)
+
+    if result.migration_enabled and remaining() > 0:
+        for decision in migration_decisions(
+            hot_pages,
+            placement,
+            remaining(),
+            config.single_node_share,
+        ):
+            if decision.page not in decided_pages:
+                result.decisions.append(decision)
+                decided_pages.add(decision.page)
+
+    if result.interleave_enabled and remaining() > 0:
+        candidates = [s for s in hot_pages if s.page not in decided_pages]
+        for decision in interleave_decisions(
+            candidates,
+            placement,
+            metrics.overloaded_nodes,
+            metrics.underloaded_nodes,
+            remaining(),
+            rng,
+        ):
+            result.decisions.append(decision)
+            decided_pages.add(decision.page)
+    return result

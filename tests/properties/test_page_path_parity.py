@@ -1,6 +1,6 @@
 """Array-backed page path vs the scalar oracle: observational equality.
 
-The dict-of-objects :class:`~repro.perfbench.oracle.DictP2MTable` and the
+The dict-of-objects :class:`~tests.oracles.DictP2MTable` and the
 loop bodies it carries *define* the page-path semantics; these tests feed
 random operation sequences — scalar and batch, valid and invalid — to
 both backends and require identical observable state, return values and
@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import batch
 from repro.core.page_queue import PageOp, PartitionedPageQueue
 from repro.errors import P2MError
 from repro.hypervisor.p2m import P2MTable
-from repro.perfbench.oracle import DictP2MTable
 from repro.sim.placement import PlacementTracker, SegmentPlacement
+from tests.oracles import DictP2MTable
 
 PAGES = 24
 MFNS = 64
@@ -213,8 +212,8 @@ class TestQueueParity:
             return capture, queue
 
         scalar_capture, scalar_queue = build()
-        with batch.scalar_mode():
-            scalar_queue.record_many(PageOp.ALLOC, gpfns)
+        for gpfn in gpfns:
+            scalar_queue.record(PageOp.ALLOC, gpfn)
         vec_capture, vec_queue = build()
         vec_queue.record_many(PageOp.ALLOC, np.asarray(gpfns, dtype=np.int64))
 

@@ -6,8 +6,11 @@ store). Worker functions live at module level so the pool can address
 them.
 """
 
+import fcntl
 import hashlib
 import json
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -129,6 +132,41 @@ class TestInvalidation:
         litter.write_text("half-written version file")
         ShardedDiskRunStore(root)
         assert not litter.exists()
+
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    def test_version_tmp_sweep_waits_for_the_version_lock(
+        self, tmp_path, store_cls
+    ):
+        """An opener must not sweep the version temp of another opener
+        that holds the version lock and is between ``mkstemp`` and
+        ``os.replace`` — the rename would raise FileNotFoundError out of
+        that opener's constructor."""
+        root = tmp_path / "rs"
+        store_cls(root)
+        staged = root / "engine_version.inflight.tmp"
+        errors = []
+
+        def open_store_in_thread():
+            try:
+                store_cls(root)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        # This fd plays the opener inside _write_version: lock held, the
+        # new version staged but not yet renamed into place.
+        with open(root / "engine_version.lock", "a") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+            staged.write_text(ENGINE_VERSION + "\n")
+            opener = threading.Thread(target=open_store_in_thread)
+            opener.start()
+            opener.join(timeout=1.0)
+            assert staged.exists(), "version temp swept without the lock"
+            os.replace(staged, root / "engine_version")
+            fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+        opener.join(timeout=30)
+        assert not opener.is_alive()
+        assert errors == []
+        assert list(root.glob("engine_version.*.tmp")) == []
 
 
 class TestOpenStore:

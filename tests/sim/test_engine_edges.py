@@ -1,8 +1,6 @@
 """Engine edge cases: empty worlds, boundary finishes, determinism."""
 
-import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.config import SimConfig

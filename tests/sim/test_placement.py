@@ -1,6 +1,5 @@
 """Placement views and their synchronisation with the p2m table."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError

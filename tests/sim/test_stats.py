@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.sim.engine import run_app
 from repro.sim.environment import VmSpec, XenEnvironment
 from repro.sim.results import RunResult
-from repro.sim.stats import RepeatedResult, run_repeated
+from repro.sim.stats import run_repeated
 from repro.workloads.suite import get_app
 
 from tests.conftest import fast_app

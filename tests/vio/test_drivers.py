@@ -6,7 +6,7 @@ from repro.config import SimConfig
 from repro.errors import ReproError
 from repro.hardware.iommu import Iommu
 from repro.hypervisor.domain import Domain
-from repro.vio.disk import DiskModel, IoMode
+from repro.vio.disk import DiskModel
 from repro.vio.dma import DmaEngine
 from repro.vio.drivers import ParavirtDriver, PassthroughDriver, make_driver
 
