@@ -23,11 +23,10 @@ from repro.carrefour.heuristics import (
     interleave_candidates,
     migration_candidates,
     replication_candidates,
-    sample_arrays,
 )
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
 from repro.core.policies.base import EpochObservation
-from repro.hardware.counters import HotPageSample, PerfCounters
+from repro.hardware.counters import HotPageBatch, PerfCounters
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class UserComponent:
     def decide(
         self,
         metrics: CarrefourMetrics,
-        hot_pages: Sequence[HotPageSample],
+        hot_pages: HotPageBatch,
         placement: PlacementFn,
     ) -> IterationResult:
         """Choose heuristics from the global metrics, then pick pages.
@@ -114,7 +113,9 @@ class UserComponent:
         if not hot_pages:
             return result
 
-        pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
+        pages = hot_pages.pages
+        domains = hot_pages.domains
+        accesses = hot_pages.accesses
         nodes = np.asarray(placement(pages))
         budget = self.config.migration_budget
         decisions = result.decisions
@@ -127,7 +128,9 @@ class UserComponent:
             )
 
         if result.replication_enabled and budget > len(decisions):
-            mask = replication_candidates(accesses, write_fraction, nodes)
+            mask = replication_candidates(
+                accesses, hot_pages.write_fraction, nodes
+            )
             for pos in np.nonzero(mask)[0][: budget - len(decisions)].tolist():
                 page = int(pages[pos])
                 decisions.append(

@@ -18,8 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.hardware.counters import HotPageSample
-
 
 class Action(enum.Enum):
     """What to do with one hot page."""
@@ -48,25 +46,6 @@ class PageDecision:
 
 #: Maps a page array to the node backing each page (-1 where unmapped).
 PlacementFn = Callable[[np.ndarray], np.ndarray]
-
-
-def sample_arrays(hot_pages: Sequence[HotPageSample]):
-    """Columnar arrays over a hot-page sample list.
-
-    The decide path works on these instead of per-sample attribute
-    access: returns ``(pages, domains, accesses, write_fraction)``
-    where ``accesses`` is the (num_samples, num_nodes) count matrix.
-    """
-    n = len(hot_pages)
-    pages = np.fromiter((s.page for s in hot_pages), dtype=np.int64, count=n)
-    domains = np.fromiter(
-        (s.domain_id for s in hot_pages), dtype=np.int64, count=n
-    )
-    accesses = np.array([s.node_accesses for s in hot_pages], dtype=np.int64)
-    write_fraction = np.fromiter(
-        (s.write_fraction for s in hot_pages), dtype=np.float64, count=n
-    )
-    return pages, domains, accesses, write_fraction
 
 
 def migration_candidates(

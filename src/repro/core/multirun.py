@@ -190,7 +190,7 @@ class _Flat:
     __slots__ = (
         "D", "src", "active", "shares", "cpu", "tlb", "io",
         "one_minus_sync", "churn", "pending", "avail", "t_run", "t_world",
-        "thread_bounds", "runs_per_world", "num_runs",
+        "thread_bounds", "run_passes", "num_runs",
     )
 
 
@@ -299,8 +299,15 @@ def _gather(lanes: List[_Lane], epoch_seconds: float) -> _Flat:
     flat.pending = np.repeat(np.array(pending), counts_arr)
     flat.t_run = np.repeat(np.arange(flat.num_runs), counts_arr)
     flat.t_world = np.repeat(np.array(run_world_idx), counts_arr)
-    flat.thread_bounds = np.concatenate(([0], np.cumsum(counts_arr)))
-    flat.runs_per_world = [len(lane.active_runs) for lane in lanes]
+    flat.thread_bounds = [0] + np.cumsum(counts_arr).tolist()
+    # Pass k of _world_totals adds the k-th run of every world that has
+    # one: (world indices, run indices), each world at most once.
+    per_world = np.array([len(lane.active_runs) for lane in lanes])
+    first = np.cumsum(per_world) - per_world
+    flat.run_passes = [
+        (np.nonzero(per_world > k)[0], first[per_world > k] + k)
+        for k in range(int(per_world.max()))
+    ]
     avail = epoch_seconds * flat.shares * flat.one_minus_sync / flat.churn
     flat.avail = np.maximum(0.0, avail - flat.pending)
     return flat
@@ -315,16 +322,14 @@ def _world_totals(
     directly: the scalar engine's ``zeros + matrix`` accumulation is
     bit-identical to the matrix itself because traffic contributions are
     never ``-0.0``. Multi-run worlds accumulate their run matrices in
-    run order — the scalar loop's exact summation order.
+    run order — the scalar loop's exact summation order — one pass per
+    run position, each pass adding to every world that has a run there.
     """
     if flat.num_runs == num_worlds:
         return run_mats
     totals = np.zeros((num_worlds, n, n))
-    r = 0
-    for w, count in enumerate(flat.runs_per_world):
-        for _ in range(count):
-            totals[w] += run_mats[r]
-            r += 1
+    for worlds, runs in flat.run_passes:
+        totals[worlds] += run_mats[runs]
     return totals
 
 
@@ -419,16 +424,21 @@ def _step_lanes(
     else:
         max_run_rho_l = np.zeros(flat.num_runs)
     world_max_rho_l = rho_l.max(axis=1) if rho_l.shape[1] else np.zeros(num_worlds)
+    # Python floats once per epoch: tolist() yields the exact doubles
+    # float(arr[r]) would, without a numpy scalar per run.
+    imbalance = imbalance.tolist()
+    max_run_rho_l = max_run_rho_l.tolist()
+    local_frac = local_frac.tolist()
+    world_max_rho_l = world_max_rho_l.tolist()
+    bounds = flat.thread_bounds
     r = 0
     for lane in lanes:
         stepper = lane.stepper
         epoch = stepper.epoch
         world_rho_c = rho_c[lane.pos]
-        world_max = float(world_max_rho_l[lane.pos])
+        world_max = world_max_rho_l[lane.pos]
         for run in lane.active_runs:
-            t0 = flat.thread_bounds[r]
-            t1 = flat.thread_bounds[r + 1]
-            ops = ops_flat[t0:t1]
+            ops = ops_flat[bounds[r] : bounds[r + 1]]
             run.commit_work(ops, now, epoch_seconds)
             observation = run.build_observation(
                 access_matrix=run_mats[r],
@@ -446,9 +456,9 @@ def _step_lanes(
                 EpochRecord(
                     epoch=epoch,
                     ops_done=float(ops.sum()),
-                    imbalance=float(imbalance[r]),
-                    max_link_rho=float(max_run_rho_l[r]),
-                    local_fraction=float(local_frac[r]),
+                    imbalance=imbalance[r],
+                    max_link_rho=max_run_rho_l[r],
+                    local_fraction=local_frac[r],
                     policy_cost_seconds=cost,
                     migrations=migrations,
                 )

@@ -5,13 +5,13 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.page_queue import PageEvent
 from repro.errors import PolicyError
-from repro.hardware.counters import HotPageSample
+from repro.hardware.counters import HotPageBatch
 from repro.hypervisor.domain import Domain
 
 
@@ -88,15 +88,15 @@ class EpochObservation:
         access_matrix: accesses[src_node, dst_node] this epoch.
         controller_rho: per-node memory controller utilisation.
         max_link_rho: utilisation of the most loaded interconnect link.
-        hot_pages: sampled hot pages with per-node access profiles
-            (page ids are gpfns in hypervisor mode).
+        hot_pages: sampled hot pages with per-node access profiles, as
+            columns (page ids are gpfns in hypervisor mode).
     """
 
     epoch_seconds: float
     access_matrix: np.ndarray
     controller_rho: np.ndarray
     max_link_rho: float
-    hot_pages: List[HotPageSample] = field(default_factory=list)
+    hot_pages: HotPageBatch = field(default_factory=HotPageBatch.empty)
 
     @property
     def total_accesses(self) -> float:

@@ -11,6 +11,7 @@ hypervisor.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -57,7 +58,10 @@ class GuestAddressSpace:
     def __init__(self, backing: BackingFn, release: Callable[[int], None]):
         self._backing = backing
         self._release = release
+        # mmap hands out increasing starts, so appending keeps both lists
+        # sorted by start for the bisect in touch().
         self._vmas: List[Vma] = []
+        self._starts: List[int] = []
         self._table: Dict[int, int] = {}
         self._next_vpfn = 0x1000  # leave a guard hole at 0
         self.guest_faults = 0
@@ -72,6 +76,7 @@ class GuestAddressSpace:
         vma = Vma(name=name, start_vpfn=self._next_vpfn, num_pages=num_pages)
         self._next_vpfn = vma.end_vpfn + 16  # guard gap
         self._vmas.append(vma)
+        self._starts.append(vma.start_vpfn)
         return vma
 
     def munmap(self, vma: Vma) -> int:
@@ -80,7 +85,9 @@ class GuestAddressSpace:
         for vpfn in range(vma.start_vpfn, vma.end_vpfn):
             if self.unmap_page(vpfn):
                 released += 1
-        self._vmas.remove(vma)
+        index = self._vmas.index(vma)
+        del self._vmas[index]
+        del self._starts[index]
         return released
 
     @property
@@ -98,7 +105,8 @@ class GuestAddressSpace:
         frame = self._table.get(vpfn)
         if frame is not None:
             return frame
-        if not any(vpfn in vma for vma in self._vmas):
+        index = bisect_right(self._starts, vpfn) - 1
+        if index < 0 or vpfn not in self._vmas[index]:
             raise GuestFaultError(f"segfault: vpfn {vpfn:#x} is unmapped")
         self.guest_faults += 1
         frame = self._backing(vpfn, thread)

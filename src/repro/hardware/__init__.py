@@ -5,7 +5,7 @@ from repro.hardware.memory import MachineMemory, MemoryController
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.cache import CacheHierarchy, CacheLevel, HitProfile
 from repro.hardware.latency import LatencyModel
-from repro.hardware.counters import PerfCounters, HotPageSample
+from repro.hardware.counters import HotPageBatch, PerfCounters
 from repro.hardware.iommu import Iommu
 from repro.hardware.machine import Machine
 from repro.hardware.presets import amd48
@@ -21,7 +21,7 @@ __all__ = [
     "HitProfile",
     "LatencyModel",
     "PerfCounters",
-    "HotPageSample",
+    "HotPageBatch",
     "Iommu",
     "Machine",
     "amd48",

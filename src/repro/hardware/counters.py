@@ -3,9 +3,9 @@
 Real Carrefour consumes AMD Instruction-Based Sampling: per-node memory
 access counts, interconnect link utilisation, and a sampled stream of hot
 physical pages annotated with which nodes access them. The simulated
-counters expose the same information, computed exactly per epoch and
-optionally thinned by a sampling rate (IBS samples a small fraction of
-instructions; exact counts thinned stochastically are a faithful stand-in).
+counters expose the same information: the access matrix is exact per
+epoch, and :class:`HotPageBatch` carries the sampled pages as columns
+(built by the simulation's IBS sampler, ``AppRun._sample_hot_pages``).
 
 The paper notes (Table 1 footnote) that Carrefour monopolises the counter
 registers, which is why Table 1 only reports first-touch/round-4K runs; we
@@ -15,7 +15,8 @@ model that exclusivity with an ``owner`` claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional
 
 import numpy as np
 
@@ -23,29 +24,56 @@ import numpy as np
 CACHE_LINE_BYTES = 64
 
 
-@dataclass(frozen=True)
-class HotPageSample:
-    """Sampled access profile of one (guest-physical) page.
+@dataclass(frozen=True, eq=False)
+class HotPageBatch:
+    """One epoch's IBS hot-page samples as columns, one row per sample.
 
     Attributes:
-        page: page identifier (gpfn for hypervisor Carrefour, vpfn in Linux).
-        domain_id: owning domain (or 0 in native mode).
-        node_accesses: per-node access counts observed for the page.
-        write_fraction: fraction of sampled accesses that were writes.
+        pages: page identifiers (gpfns for hypervisor Carrefour, vpfns in
+            Linux), int64.
+        domains: owning domain per sample (0 in native mode), int64.
+        accesses: ``(k, num_nodes)`` int64 per-node access counts.
+        write_fraction: fraction of sampled accesses that were writes,
+            float64.
+
+    The columns are write-protected: the batch is shared by the policy
+    callback and the engine's archived observation, so the arrays handed
+    in are frozen in place (``setflags(write=False)``).
     """
 
-    page: int
-    domain_id: int
-    node_accesses: Tuple[int, ...]
-    write_fraction: float = 0.0
+    pages: np.ndarray
+    domains: np.ndarray
+    accesses: np.ndarray
+    write_fraction: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.node_accesses))
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("pages", np.int64),
+            ("domains", np.int64),
+            ("accesses", np.int64),
+            ("write_fraction", np.float64),
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
-    @property
-    def dominant_node(self) -> int:
-        return int(np.argmax(self.node_accesses))
+    def __len__(self) -> int:
+        return len(self.pages)
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def empty(cls, num_nodes: int = 0) -> "HotPageBatch":
+        """A batch without samples over ``num_nodes`` nodes.
+
+        Every observation of a static policy carries one, so the
+        (immutable) batch is built once per node count and shared.
+        """
+        return cls(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty((0, num_nodes), dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
 
 
 class PerfCounters:
@@ -138,46 +166,3 @@ class PerfCounters:
             return 0.0
         return float(counts.std() / mean)
 
-
-def sample_hot_pages(
-    page_profiles: Sequence[HotPageSample],
-    sampling_rate: float,
-    rng: np.random.Generator,
-    max_samples: Optional[int] = None,
-) -> List[HotPageSample]:
-    """Thin exact page access profiles the way IBS sampling would.
-
-    Each page's per-node counts are binomially subsampled at
-    ``sampling_rate``; pages whose sampled total is zero disappear (cold
-    pages are invisible to IBS). Results are sorted hottest-first.
-
-    Args:
-        page_profiles: exact access profiles from the simulation engine.
-        sampling_rate: probability that one access produces a sample.
-        rng: random generator (deterministic runs use a seeded one).
-        max_samples: optional cap on the number of pages returned.
-    """
-    if not 0.0 < sampling_rate <= 1.0:
-        raise ValueError("sampling_rate must be in (0, 1]")
-    sampled: List[HotPageSample] = []
-    for profile in page_profiles:
-        counts = np.asarray(profile.node_accesses, dtype=np.int64)
-        if sampling_rate >= 1.0:
-            thinned = counts
-        else:
-            thinned = rng.binomial(counts, sampling_rate)
-        total = int(thinned.sum())
-        if total == 0:
-            continue
-        sampled.append(
-            HotPageSample(
-                page=profile.page,
-                domain_id=profile.domain_id,
-                node_accesses=tuple(int(c) for c in thinned),
-                write_fraction=profile.write_fraction,
-            )
-        )
-    sampled.sort(key=lambda s: s.total, reverse=True)
-    if max_samples is not None:
-        sampled = sampled[:max_samples]
-    return sampled

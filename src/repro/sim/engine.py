@@ -134,47 +134,11 @@ class CongestionSolver:
     ) -> np.ndarray:
         """:meth:`latency_matrix` over per-world ``(W, n)`` / ``(W, links)``.
 
-        The latency model is elementwise over broadcast inputs, so adding
-        a leading world axis changes which elements are computed together
-        but not any individual float operation. The zero-congestion memo
-        of the scalar path is itself computed by this same expression,
-        so skipping it here cannot change a bit.
-
-        The body inlines :meth:`LatencyModel.memory_latency_cycles` with
-        the hop tables precomputed at solver construction: every float
-        operation (and its order) matches the model methods exactly, so
-        the per-world result stays bit-identical to the scalar path —
-        this is the innermost line of the batched fixed point, called
-        ``SOLVER_ITERATIONS`` times per group epoch.
+        Both methods evaluate the same kernel (:meth:`_latencies`) over a
+        leading world axis, so per-world results are bit-identical to the
+        single-world path.
         """
-        model = self.machine.latency
-        burst = self.machine.config.traffic_burstiness
-        n = self.num_nodes
-        worlds = rho_c.shape[0]
-        if self.route_matrix.size:
-            route_rho = (
-                (self.route_matrix * rho_l[:, np.newaxis, :])
-                .max(axis=2)
-                .reshape(worlds, n, n)
-            )
-        else:
-            route_rho = np.zeros((worlds, n, n))
-        rho_cb = rho_c[:, np.newaxis, :] * burst
-        congestion = np.where(
-            self._hops_zero, rho_cb, np.maximum(rho_cb, route_rho * burst)
-        )
-        # queueing(), with the knee constants folded (same formulas on
-        # the same scalars yield the same floats every call).
-        cap = model.rho_cap
-        rho = np.maximum(congestion, 0.0)
-        clamped = np.minimum(rho, cap)
-        q = np.where(
-            rho <= cap,
-            clamped / (1.0 - clamped),
-            cap / (1.0 - cap) + (1.0 / (1.0 - cap) ** 2) * (rho - cap),
-        )
-        cycles = self._lat_base + self._lat_coeff * q
-        return cycles / (model.freq_ghz * 1e9)
+        return self._latencies(rho_c, rho_l)
 
     def solve_many(
         self, stacked: np.ndarray, seconds: float
@@ -204,59 +168,53 @@ class CongestionSolver:
         """
         if not rho_c.any() and not rho_l.any():
             if self._zero_latm is None:
-                memo = self._solve_latencies(rho_c, rho_l)
+                memo = self._latencies(rho_c[np.newaxis], rho_l[np.newaxis])[0]
                 memo.setflags(write=False)
                 self._zero_latm = memo
             return self._zero_latm
-        return self._solve_latencies(rho_c, rho_l)
+        return self._latencies(rho_c[np.newaxis], rho_l[np.newaxis])[0]
 
-    def _solve_latencies(
-        self, rho_c: np.ndarray, rho_l: np.ndarray
-    ) -> np.ndarray:
+    def _latencies(self, rho_c: np.ndarray, rho_l: np.ndarray) -> np.ndarray:
+        """The latency kernel over ``(W, n)`` / ``(W, links)`` inputs.
+
+        The body inlines :meth:`LatencyModel.memory_latency_cycles` with
+        the hop tables precomputed at solver construction: every float
+        operation (and its order) matches the model methods exactly. The
+        model is elementwise over broadcast inputs, so the world axis
+        changes which elements are computed together but not any
+        individual float operation. This is the innermost line of both
+        fixed points, called up to ``SOLVER_ITERATIONS`` times per epoch.
+        """
         model = self.machine.latency
         burst = self.machine.config.traffic_burstiness
         n = self.num_nodes
+        worlds = rho_c.shape[0]
         if self.route_matrix.size:
             # Max utilisation along each route; all-zero rows (local
             # accesses) reduce to 0.0 exactly as the loop's default did.
-            route_rho = (self.route_matrix * rho_l).max(axis=1).reshape(n, n)
+            route_rho = (
+                (self.route_matrix * rho_l[:, np.newaxis, :])
+                .max(axis=2)
+                .reshape(worlds, n, n)
+            )
         else:
-            route_rho = np.zeros((n, n))
-        cycles = model.memory_latency_cycles(
-            self.hops,
-            rho_c[np.newaxis, :] * burst,
-            route_rho * burst,
+            route_rho = np.zeros((worlds, n, n))
+        rho_cb = rho_c[:, np.newaxis, :] * burst
+        congestion = np.where(
+            self._hops_zero, rho_cb, np.maximum(rho_cb, route_rho * burst)
         )
-        return model.cycles_to_seconds(cycles)
-
-
-def _compute_ops(
-    run: AppRun,
-    D: np.ndarray,
-    src: np.ndarray,
-    active: np.ndarray,
-    latm_seconds: np.ndarray,
-    epoch_seconds: float,
-) -> np.ndarray:
-    """Operations each thread completes this epoch under given latencies."""
-    ctx = run.context
-    shares = np.array([t.cpu_share for t in run.threads])
-    lat_rows = latm_seconds[src]
-    mem_s = (D * lat_rows).sum(axis=1)
-    tlb_s = getattr(ctx, "tlb_seconds_per_op", 0.0)
-    time_per_op = (
-        run.op_model.cpu_seconds + mem_s + tlb_s + ctx.io_seconds_per_op
-    )
-    avail = (
-        epoch_seconds
-        * shares
-        * (1.0 - ctx.sync_fraction)
-        / ctx.churn_slowdown
-    )
-    # Dynamic-policy overhead from the previous epoch stalls the domain.
-    avail = np.maximum(0.0, avail - run.pending_policy_cost)
-    ops = np.where(active, avail / time_per_op, 0.0)
-    return ops
+        # queueing(), with the knee constants folded (same formulas on
+        # the same scalars yield the same floats every call).
+        cap = model.rho_cap
+        rho = np.maximum(congestion, 0.0)
+        clamped = np.minimum(rho, cap)
+        q = np.where(
+            rho <= cap,
+            clamped / (1.0 - clamped),
+            cap / (1.0 - cap) + (1.0 / (1.0 - cap) ** 2) * (rho - cap),
+        )
+        cycles = self._lat_base + self._lat_coeff * q
+        return cycles / (model.freq_ghz * 1e9)
 
 
 def _per_run_matrix(
@@ -380,11 +338,30 @@ class EpochStepper:
         if not active_runs:
             return False
         # ---- fixed point: rates vs congestion
-        # Placement is frozen while the solver iterates, so each run's
-        # destination matrix is fetched once per epoch (and cached by the
-        # run across epochs while churn leaves placement untouched).
-        dests = [run.destination_matrix(n) for run in active_runs]
-        per_run: List[Tuple[AppRun, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        # Only the latencies move while the solver iterates. Each run's
+        # destination matrix (cached by the run across epochs while churn
+        # leaves placement untouched), CPU budget and per-operation
+        # cpu/tlb/io terms are computed once per epoch.
+        inputs = []
+        for run in active_runs:
+            D, src, active = run.destination_matrix(n)
+            ctx = run.context
+            shares = np.array([t.cpu_share for t in run.threads])
+            avail = (
+                epoch_seconds
+                * shares
+                * (1.0 - ctx.sync_fraction)
+                / ctx.churn_slowdown
+            )
+            # Dynamic-policy overhead from the previous epoch stalls the
+            # domain.
+            avail = np.maximum(0.0, avail - run.pending_policy_cost)
+            inputs.append((
+                run, D, src, active, avail, run.op_model.cpu_seconds,
+                getattr(ctx, "tlb_seconds_per_op", 0.0), ctx.io_seconds_per_op,
+            ))
+        per_run: List[Tuple[AppRun, np.ndarray, np.ndarray, np.ndarray]] = []
+        total = np.zeros((n, n))
         rho_c = np.zeros(n)
         rho_l = np.zeros(len(solver.link_bw))
         iterations = 0
@@ -392,10 +369,14 @@ class EpochStepper:
         for _ in range(SOLVER_ITERATIONS):
             total = np.zeros((n, n))
             per_run = []
-            for run, (D, src, active) in zip(active_runs, dests):
-                ops = _compute_ops(run, D, src, active, latm, epoch_seconds)
-                total += _per_run_matrix(D, src, ops, n)
-                per_run.append((run, D, src, active, ops))
+            for run, D, src, active, avail, cpu_s, tlb_s, io_s in inputs:
+                # Operations each thread completes under these latencies.
+                mem_s = (D * latm[src]).sum(axis=1)
+                time_per_op = cpu_s + mem_s + tlb_s + io_s
+                ops = np.where(active, avail / time_per_op, 0.0)
+                matrix = _per_run_matrix(D, src, ops, n)
+                total += matrix
+                per_run.append((run, src, ops, matrix))
             rho_c, rho_l = solver.congestion(total, epoch_seconds)
             new_latm = (
                 SOLVER_DAMPING * latm
@@ -429,11 +410,10 @@ class EpochStepper:
         # code cannot (even accidentally) mutate a sibling's view or its
         # own archived metrics through the alias.
         rho_c.setflags(write=False)
-        total = np.zeros((n, n))
-        for run, D, src, active, ops in per_run:
+        # The final iteration's per-run matrices and their sum are the
+        # epoch's traffic.
+        for run, src, ops, matrix in per_run:
             run.commit_work(ops, now, epoch_seconds)
-            matrix = _per_run_matrix(D, src, ops, n)
-            total += matrix
             matrix.setflags(write=False)
             # The run's own *contribution* to the links, archived in its
             # EpochRecord; the observation below instead carries the

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.core.policies.base import EpochObservation
-from repro.hardware.counters import HotPageSample
+from repro.hardware.counters import HotPageBatch
 from repro.sim.calibration import OpModel
 from repro.sim.placement import SegmentPlacement
 from repro.sim.results import EpochRecord
@@ -358,9 +358,10 @@ class AppRun:
         traffic. The engine separately archives the run's private link
         *contribution* in its :class:`~repro.sim.results.EpochRecord`.
         """
-        hot_pages: List[HotPageSample] = []
         if self.context.policy_is_dynamic:
             hot_pages = self._sample_hot_pages(ops_by_node)
+        else:
+            hot_pages = HotPageBatch.empty(len(ops_by_node))
         return EpochObservation(
             epoch_seconds=epoch_seconds,
             access_matrix=access_matrix,
@@ -369,85 +370,109 @@ class AppRun:
             hot_pages=hot_pages,
         )
 
-    def _sample_hot_pages(self, ops_by_node: np.ndarray) -> List[HotPageSample]:
-        """Per-page samples as IBS would report them.
+    def _sample_hot_pages(self, ops_by_node: np.ndarray) -> HotPageBatch:
+        """Per-page samples as IBS would report them, as one batch.
 
         Shared pages: sources follow the per-node operation counts; the
         hottest pages are sampled deterministically, the uniform tail at
         random. Private pages: the owner is the only source — except
         during a *burst*, when a remote node transiently hammers them
         (the behaviour that misleads Carrefour on "low" applications).
+
+        Rows come out in the per-sample walk's order (each shared
+        segment, then each live thread's private draws), and the RNG
+        stream is consumed exactly as that walk consumed it: the shared
+        tails keep their ``size=k`` draws, and every burst source and
+        private index comes from one ``rng.integers(0, highs)`` whose
+        per-element ``highs`` list the scalar draws in order.
         """
-        samples: List[HotPageSample] = []
+        rng = self.rng
         share = self.app.master_share
-        total_shared_ops = float(ops_by_node.sum()) * share
-        domain_id = self.context.domain_id
+        total_ops = float(ops_by_node.sum())
+        total_shared_ops = total_ops * share
         num_nodes = len(ops_by_node)
         src_dist = ops_by_node / max(ops_by_node.sum(), 1.0)
+        pages: List[np.ndarray] = []
+        accesses: List[np.ndarray] = []
+        write_fraction: List[np.ndarray] = []
         for seg in self.shared_segments:
-            weights = seg.page_weights
             count = min(SAMPLES_SHARED, seg.num_pages)
             hot_n = min(count // 2, seg.num_pages)
-            indices = list(range(hot_n))
+            idx = np.arange(hot_n)
             if seg.num_pages > hot_n:
-                extra = self.rng.integers(
-                    hot_n, seg.num_pages, size=count - hot_n
+                extra = rng.integers(hot_n, seg.num_pages, size=count - hot_n)
+                idx = np.concatenate((idx, extra))
+            keys = seg.keys[idx]
+            mapped = keys >= 0
+            page_ops = total_shared_ops * seg.page_weights[idx[mapped]]
+            counts = np.maximum(
+                0, np.round(page_ops[:, np.newaxis] * src_dist)
+            ).astype(np.int64)
+            # A page too cold to round to one access still shows up once,
+            # on the busiest source node.
+            silent = counts.sum(axis=1) == 0
+            if silent.any():
+                counts[silent, int(np.argmax(src_dist))] = np.maximum(
+                    1, page_ops[silent].astype(np.int64)
                 )
-                indices.extend(int(i) for i in extra)
-            for idx in indices:
-                key = int(seg.keys[idx])
-                if key < 0:
-                    continue
-                page_ops = total_shared_ops * float(weights[idx])
-                counts = np.maximum(
-                    0, np.round(src_dist * page_ops)
-                ).astype(np.int64)
-                if counts.sum() == 0:
-                    counts[int(np.argmax(src_dist))] = max(1, int(page_ops))
-                samples.append(
-                    HotPageSample(
-                        page=key,
-                        domain_id=domain_id,
-                        node_accesses=tuple(int(c) for c in counts),
-                        write_fraction=seg.definition.spec.write_fraction,
-                    )
-                )
+            pages.append(keys[mapped])
+            accesses.append(counts)
+            write_fraction.append(
+                np.full(len(counts), seg.definition.spec.write_fraction)
+            )
         # Private segments: owner-only sources, plus transient bursts.
-        burst = self.rng.random() < self.app.burst_noise
+        burst = rng.random() < self.app.burst_noise
         burst_tids = set()
         if burst:
             k = max(1, self.num_threads // 16)
             burst_tids = set(
-                int(t) for t in self.rng.choice(self.num_threads, size=k, replace=False)
+                rng.choice(self.num_threads, size=k, replace=False).tolist()
             )
+        highs: List[int] = []
+        owners = []
         for t in self.threads:
             if t.finished:
                 continue
             seg = self.private_by_tid.get(t.tid)
             if seg is None:
                 continue
-            per_page_ops = (
-                float(ops_by_node.sum())
-                * (1.0 - share)
-                / max(1, self.num_threads)
-                / seg.num_pages
-            )
-            source = t.node
-            if t.tid in burst_tids:
-                source = int(self.rng.integers(num_nodes))
+            bursting = t.tid in burst_tids
+            if bursting:
+                highs.append(num_nodes)
             count = min(SAMPLES_PRIVATE_PER_THREAD, seg.num_pages)
-            for idx in self.rng.integers(0, seg.num_pages, size=count):
-                key = int(seg.keys[int(idx)])
-                if key < 0:
-                    continue
-                counts = [0] * num_nodes
-                counts[source] = max(1, int(per_page_ops))
-                samples.append(
-                    HotPageSample(
-                        page=key,
-                        domain_id=domain_id,
-                        node_accesses=tuple(counts),
-                        write_fraction=0.5,
-                    )
-                )
-        return samples
+            highs.extend([seg.num_pages] * count)
+            owners.append((seg, count, bursting, t.node))
+        if owners:
+            draws = rng.integers(0, np.array(highs, dtype=np.int64))
+            private_ops = total_ops * (1.0 - share) / max(1, self.num_threads)
+            key_parts = []
+            sources: List[int] = []
+            amounts: List[int] = []
+            pos = 0
+            for seg, count, bursting, node in owners:
+                if bursting:
+                    node = int(draws[pos])
+                    pos += 1
+                key_parts.append(seg.keys[draws[pos : pos + count]])
+                pos += count
+                sources.extend([node] * count)
+                amounts.extend([max(1, int(private_ops / seg.num_pages))] * count)
+            keys = np.concatenate(key_parts)
+            mapped = keys >= 0
+            rows = int(mapped.sum())
+            counts = np.zeros((rows, num_nodes), dtype=np.int64)
+            counts[np.arange(rows), np.array(sources)[mapped]] = np.array(
+                amounts, dtype=np.int64
+            )[mapped]
+            pages.append(keys[mapped])
+            accesses.append(counts)
+            write_fraction.append(np.full(rows, 0.5))
+        if not pages:
+            return HotPageBatch.empty(num_nodes)
+        pages_col = np.concatenate(pages)
+        return HotPageBatch(
+            pages=pages_col,
+            domains=np.full(len(pages_col), self.context.domain_id, dtype=np.int64),
+            accesses=np.concatenate(accesses),
+            write_fraction=np.concatenate(write_fraction),
+        )

@@ -11,17 +11,28 @@ from repro.carrefour.engine import (
 )
 from repro.carrefour.metrics import compute_metrics
 from repro.core.policies.base import EpochObservation
-from repro.hardware.counters import HotPageSample, PerfCounters
+from repro.hardware.counters import HotPageBatch, PerfCounters
 
 
-def observation(matrix, epoch_seconds=1.0, hot_pages=(), max_link_rho=0.0):
+def observation(matrix, epoch_seconds=1.0, hot_pages=None, max_link_rho=0.0):
     matrix = np.asarray(matrix, dtype=float)
     return EpochObservation(
         epoch_seconds=epoch_seconds,
         access_matrix=matrix,
         controller_rho=matrix.sum(axis=0) / 1e9,
         max_link_rho=max_link_rho,
-        hot_pages=list(hot_pages),
+        hot_pages=hot_pages if hot_pages is not None else HotPageBatch.empty(4),
+    )
+
+
+def hot(pages, accesses, write_fraction=0.0, domain_id=1):
+    """A batch sampling each page in ``pages`` with the same profile."""
+    pages = list(pages)
+    return HotPageBatch(
+        pages=pages,
+        domains=[domain_id] * len(pages),
+        accesses=[accesses] * len(pages),
+        write_fraction=[write_fraction] * len(pages),
     )
 
 
@@ -62,20 +73,19 @@ class TestUserComponent:
     def test_idle_below_rate_threshold(self):
         user = self._user(min_access_rate_per_s=1e12)
         result = user.decide(
-            compute_metrics(observation(concentrated_matrix())), [], on_node(0)
+            compute_metrics(observation(concentrated_matrix())),
+            HotPageBatch.empty(4),
+            on_node(0),
         )
         assert not result.decisions
         assert not result.interleave_enabled
 
     def test_interleave_enabled_on_imbalance(self):
         user = self._user(min_access_rate_per_s=1.0)
-        hot = [
-            HotPageSample(page=i, domain_id=1, node_accesses=(100, 100, 100, 100))
-            for i in range(5)
-        ]
+        batch = hot(range(5), (100, 100, 100, 100))
         result = user.decide(
-            compute_metrics(observation(concentrated_matrix(), hot_pages=hot)),
-            hot,
+            compute_metrics(observation(concentrated_matrix(), hot_pages=batch)),
+            batch,
             on_node(0),
         )
         assert result.interleave_enabled
@@ -84,9 +94,8 @@ class TestUserComponent:
     def test_migration_enabled_on_poor_locality(self):
         user = self._user(min_access_rate_per_s=1.0)
         matrix = np.full((4, 4), 100.0)  # fully remote-ish, local frac 0.25
-        hot = [HotPageSample(page=1, domain_id=1, node_accesses=(0, 400, 0, 0))]
         result = user.decide(
-            compute_metrics(observation(matrix)), hot, on_node(0)
+            compute_metrics(observation(matrix)), hot([1], (0, 400, 0, 0)), on_node(0)
         )
         assert result.migration_enabled
         assert result.decisions[0].dst_node == 1
@@ -94,23 +103,16 @@ class TestUserComponent:
     def test_replication_disabled_by_default(self):
         user = self._user(min_access_rate_per_s=1.0)
         matrix = np.full((4, 4), 100.0)
-        hot = [
-            HotPageSample(
-                page=1, domain_id=1, node_accesses=(200, 200, 0, 0),
-                write_fraction=0.0,
-            )
-        ]
-        result = user.decide(compute_metrics(observation(matrix)), hot, on_node(0))
+        batch = hot([1], (200, 200, 0, 0), write_fraction=0.0)
+        result = user.decide(compute_metrics(observation(matrix)), batch, on_node(0))
         assert not result.replication_enabled
 
     def test_budget_cap(self):
         user = self._user(min_access_rate_per_s=1.0, migration_budget=3)
-        hot = [
-            HotPageSample(page=i, domain_id=1, node_accesses=(100, 100, 100, 100))
-            for i in range(10)
-        ]
         result = user.decide(
-            compute_metrics(observation(concentrated_matrix())), hot, on_node(0)
+            compute_metrics(observation(concentrated_matrix())),
+            hot(range(10), (100, 100, 100, 100)),
+            on_node(0),
         )
         assert len(result.decisions) <= 3
 
@@ -128,12 +130,10 @@ class TestEngine:
 
     def test_iteration_applies_decisions(self):
         engine, _ = self._engine()
-        hot = [
-            HotPageSample(page=i, domain_id=1, node_accesses=(100, 0, 0, 0))
-            for i in range(5)
-        ]
         result = engine.run_iteration(
-            observation(concentrated_matrix(), hot_pages=hot)
+            observation(
+                concentrated_matrix(), hot_pages=hot(range(5), (100, 0, 0, 0))
+            )
         )
         assert result.applied == len(result.decisions) > 0
         assert engine.system.total_applied == result.applied

@@ -7,8 +7,8 @@ The production decide path (mask form) is held to these definitions by
 import numpy as np
 
 from repro.carrefour.heuristics import Action
-from repro.hardware.counters import HotPageSample
 from tests.oracles import (
+    HotPageSample,
     interleave_decisions,
     migration_decisions,
     replication_decisions,

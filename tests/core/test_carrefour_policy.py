@@ -5,7 +5,7 @@ import pytest
 
 from repro.carrefour.engine import CarrefourConfig
 from repro.core.policies.base import EpochObservation
-from repro.hardware.counters import HotPageSample
+from repro.hardware.counters import HotPageBatch
 from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.xen import Hypervisor
 
@@ -27,16 +27,14 @@ def observation(machine, domain, hot_gpfns, src_node=1):
     n = machine.num_nodes
     matrix = np.zeros((n, n))
     matrix[:, 0] = 1e9 / n  # node 0 overloaded
-    hot = [
-        HotPageSample(
-            page=g,
-            domain_id=domain.domain_id,
-            node_accesses=tuple(
-                int(1000 if i == src_node else 0) for i in range(n)
-            ),
-        )
-        for g in hot_gpfns
-    ]
+    accesses = [0] * n
+    accesses[src_node] = 1000
+    hot = HotPageBatch(
+        pages=list(hot_gpfns),
+        domains=[domain.domain_id] * len(hot_gpfns),
+        accesses=[accesses] * len(hot_gpfns),
+        write_fraction=[0.0] * len(hot_gpfns),
+    )
     return EpochObservation(
         epoch_seconds=1.0,
         access_matrix=matrix,

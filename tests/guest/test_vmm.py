@@ -99,6 +99,41 @@ class TestUnmap:
         assert aspace.guest_faults == 2
 
 
+class TestVmaLookup:
+    """touch() finds the VMA by bisecting the sorted VMA starts."""
+
+    def test_guard_gap_segfaults(self, aspace, thread):
+        a = aspace.mmap("a", 4)
+        b = aspace.mmap("b", 4)
+        assert a.end_vpfn < b.start_vpfn
+        for vpfn in (a.start_vpfn - 1, a.end_vpfn, b.start_vpfn - 1, b.end_vpfn):
+            with pytest.raises(GuestFaultError, match="segfault"):
+                aspace.touch(vpfn, thread)
+        assert aspace.guest_faults == 0
+
+    def test_every_page_of_neighbouring_vmas_resolves(self, aspace, thread):
+        vmas = [aspace.mmap(f"v{i}", i + 1) for i in range(6)]
+        for vma in vmas:
+            for vpfn in range(vma.start_vpfn, vma.end_vpfn):
+                aspace.touch(vpfn, thread)
+        assert aspace.guest_faults == sum(v.num_pages for v in vmas)
+
+    def test_munmap_middle_vma_keeps_neighbours(self, aspace, thread):
+        a = aspace.mmap("a", 4)
+        b = aspace.mmap("b", 4)
+        c = aspace.mmap("c", 4)
+        aspace.munmap(b)
+        for vpfn in (b.start_vpfn, b.start_vpfn + 2, b.end_vpfn - 1):
+            with pytest.raises(GuestFaultError, match="segfault"):
+                aspace.touch(vpfn, thread)
+        aspace.touch(a.end_vpfn - 1, thread)
+        aspace.touch(c.start_vpfn, thread)
+        assert aspace.vmas == [a, c]
+        d = aspace.mmap("d", 2)
+        aspace.touch(d.start_vpfn, thread)
+        assert aspace.vmas == [a, c, d]
+
+
 class TestProcess:
     def test_spawn_threads(self, aspace):
         proc = Process("app", aspace)

@@ -1,9 +1,10 @@
-"""Performance counters, derived metrics and IBS-style sampling."""
+"""Performance counters, derived metrics and the hot-page sample batch."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.counters import HotPageSample, PerfCounters, sample_hot_pages
+from repro.hardware.counters import HotPageBatch, PerfCounters
+from tests.oracles import HotPageSample
 
 
 @pytest.fixture
@@ -82,54 +83,32 @@ class TestClaim:
         assert counters.owner == "carrefour"
 
 
-class TestSampling:
-    def _profiles(self, n=10, total=1000):
-        return [
-            HotPageSample(page=i, domain_id=1, node_accesses=(total, 0, 0, 0))
-            for i in range(n)
-        ]
-
-    def test_full_rate_keeps_everything(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(), 1.0, rng)
-        assert len(out) == 10
-        assert all(s.total == 1000 for s in out)
-
-    def test_thinning_reduces_counts(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(total=10000), 0.01, rng)
-        assert all(0 < s.total < 10000 for s in out)
-
-    def test_cold_pages_disappear(self):
-        rng = np.random.default_rng(0)
-        profiles = [
-            HotPageSample(page=0, domain_id=1, node_accesses=(1, 0, 0, 0))
-            for _ in range(50)
-        ]
-        out = sample_hot_pages(profiles, 0.01, rng)
-        assert len(out) < 50
-
-    def test_sorted_hottest_first(self):
-        rng = np.random.default_rng(0)
-        profiles = [
-            HotPageSample(page=i, domain_id=1, node_accesses=(100 * (i + 1), 0, 0, 0))
-            for i in range(5)
-        ]
-        out = sample_hot_pages(profiles, 1.0, rng)
-        totals = [s.total for s in out]
-        assert totals == sorted(totals, reverse=True)
-
-    def test_max_samples_cap(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(n=20), 1.0, rng, max_samples=5)
-        assert len(out) == 5
-
-    def test_bad_rate_rejected(self):
-        rng = np.random.default_rng(0)
+class TestHotPageBatch:
+    def test_columns_are_typed_and_write_protected(self):
+        batch = HotPageBatch(
+            pages=[3, 7],
+            domains=[1, 1],
+            accesses=[[5, 0], [0, 9]],
+            write_fraction=[0.5, 0.2],
+        )
+        assert len(batch) == 2
+        assert batch.pages.dtype == np.int64
+        assert batch.domains.dtype == np.int64
+        assert batch.accesses.dtype == np.int64
+        assert batch.accesses.shape == (2, 2)
+        assert batch.write_fraction.dtype == np.float64
+        for column in (
+            batch.pages, batch.domains, batch.accesses, batch.write_fraction
+        ):
+            assert not column.flags.writeable
         with pytest.raises(ValueError):
-            sample_hot_pages([], 0.0, rng)
-        with pytest.raises(ValueError):
-            sample_hot_pages([], 1.5, rng)
+            batch.pages[0] = 4
+
+    def test_empty(self):
+        batch = HotPageBatch.empty(4)
+        assert len(batch) == 0
+        assert not batch
+        assert batch.accesses.shape == (0, 4)
 
 
 class TestHotPageSample:

@@ -13,13 +13,18 @@ are kept here, verbatim, as the oracles the parity tests drive:
 * the per-sample Carrefour heuristics (:func:`migration_decisions`,
   :func:`interleave_decisions`, :func:`replication_decisions`) that the
   mask-based ``UserComponent.decide`` reproduces decision for decision
-  (``tests/properties/test_carrefour_decide_parity.py``).
+  (``tests/properties/test_carrefour_decide_parity.py``);
+* the per-sample IBS sampler (:func:`scalar_sample_hot_pages`, one
+  :class:`HotPageSample` object per sampled page) whose rows and RNG
+  stream the columnar ``AppRun._sample_hot_pages`` reproduces
+  (``tests/properties/test_ibs_sampler_parity.py``).
 
 Do not optimise them: their value is being slow and obviously correct.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -30,9 +35,14 @@ from repro.carrefour.engine import CarrefourConfig, IterationResult
 from repro.carrefour.heuristics import Action, PageDecision
 from repro.carrefour.metrics import CarrefourMetrics
 from repro.errors import P2MError
-from repro.hardware.counters import CACHE_LINE_BYTES, HotPageSample
+from repro.hardware.counters import CACHE_LINE_BYTES, HotPageBatch
 from repro.hypervisor.p2m import P2MEntry
 from repro.sim.engine import CongestionSolver
+from repro.sim.instance import (
+    SAMPLES_PRIVATE_PER_THREAD,
+    SAMPLES_SHARED,
+    AppRun,
+)
 
 #: Returns the node currently backing a page (None if unmapped).
 PlacementFn = Callable[[int], Optional[int]]
@@ -263,6 +273,133 @@ class DictP2MTable:
             mfn = self.mfn_if_valid(gpfn)
             nodes.append(-1 if mfn < 0 else mfn // self.frames_per_node)
         return np.asarray(nodes, dtype=np.int32)
+
+
+# ----------------------------------------------------------------------
+# The per-sample IBS sampler
+
+
+@dataclass(frozen=True)
+class HotPageSample:
+    """Sampled access profile of one (guest-physical) page.
+
+    Attributes:
+        page: page identifier (gpfn for hypervisor Carrefour, vpfn in Linux).
+        domain_id: owning domain (or 0 in native mode).
+        node_accesses: per-node access counts observed for the page.
+        write_fraction: fraction of sampled accesses that were writes.
+    """
+
+    page: int
+    domain_id: int
+    node_accesses: Tuple[int, ...]
+    write_fraction: float = 0.0
+
+    @property
+    def total(self) -> int:
+        return int(sum(self.node_accesses))
+
+    @property
+    def dominant_node(self) -> int:
+        return int(np.argmax(self.node_accesses))
+
+
+def batch_of(hot_pages: Sequence[HotPageSample], num_nodes: int) -> HotPageBatch:
+    """The columnar batch holding ``hot_pages`` row for row."""
+    if not hot_pages:
+        return HotPageBatch.empty(num_nodes)
+    return HotPageBatch(
+        pages=[s.page for s in hot_pages],
+        domains=[s.domain_id for s in hot_pages],
+        accesses=[s.node_accesses for s in hot_pages],
+        write_fraction=[s.write_fraction for s in hot_pages],
+    )
+
+
+def scalar_sample_hot_pages(
+    run: AppRun, ops_by_node: np.ndarray
+) -> List[HotPageSample]:
+    """Per-page samples as IBS would report them.
+
+    Shared pages: sources follow the per-node operation counts; the
+    hottest pages are sampled deterministically, the uniform tail at
+    random. Private pages: the owner is the only source — except
+    during a *burst*, when a remote node transiently hammers them
+    (the behaviour that misleads Carrefour on "low" applications).
+    """
+    samples: List[HotPageSample] = []
+    share = run.app.master_share
+    total_shared_ops = float(ops_by_node.sum()) * share
+    domain_id = run.context.domain_id
+    num_nodes = len(ops_by_node)
+    src_dist = ops_by_node / max(ops_by_node.sum(), 1.0)
+    for seg in run.shared_segments:
+        weights = seg.page_weights
+        count = min(SAMPLES_SHARED, seg.num_pages)
+        hot_n = min(count // 2, seg.num_pages)
+        indices = list(range(hot_n))
+        if seg.num_pages > hot_n:
+            extra = run.rng.integers(
+                hot_n, seg.num_pages, size=count - hot_n
+            )
+            indices.extend(int(i) for i in extra)
+        for idx in indices:
+            key = int(seg.keys[idx])
+            if key < 0:
+                continue
+            page_ops = total_shared_ops * float(weights[idx])
+            counts = np.maximum(
+                0, np.round(src_dist * page_ops)
+            ).astype(np.int64)
+            if counts.sum() == 0:
+                counts[int(np.argmax(src_dist))] = max(1, int(page_ops))
+            samples.append(
+                HotPageSample(
+                    page=key,
+                    domain_id=domain_id,
+                    node_accesses=tuple(int(c) for c in counts),
+                    write_fraction=seg.definition.spec.write_fraction,
+                )
+            )
+    # Private segments: owner-only sources, plus transient bursts.
+    burst = run.rng.random() < run.app.burst_noise
+    burst_tids = set()
+    if burst:
+        k = max(1, run.num_threads // 16)
+        burst_tids = set(
+            int(t) for t in run.rng.choice(run.num_threads, size=k, replace=False)
+        )
+    for t in run.threads:
+        if t.finished:
+            continue
+        seg = run.private_by_tid.get(t.tid)
+        if seg is None:
+            continue
+        per_page_ops = (
+            float(ops_by_node.sum())
+            * (1.0 - share)
+            / max(1, run.num_threads)
+            / seg.num_pages
+        )
+        source = t.node
+        if t.tid in burst_tids:
+            source = int(run.rng.integers(num_nodes))
+        count = min(SAMPLES_PRIVATE_PER_THREAD, seg.num_pages)
+        for idx in run.rng.integers(0, seg.num_pages, size=count):
+            key = int(seg.keys[int(idx)])
+            if key < 0:
+                continue
+            counts = [0] * num_nodes
+            counts[source] = max(1, int(per_page_ops))
+            samples.append(
+                HotPageSample(
+                    page=key,
+                    domain_id=domain_id,
+                    node_accesses=tuple(counts),
+                    write_fraction=0.5,
+                )
+            )
+    return samples
 
 
 # ----------------------------------------------------------------------

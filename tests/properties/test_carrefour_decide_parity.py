@@ -16,22 +16,24 @@ from hypothesis import strategies as st
 
 from repro.carrefour.engine import CarrefourConfig, UserComponent
 from repro.carrefour.metrics import CarrefourMetrics
-from repro.hardware.counters import HotPageSample
-from tests.oracles import scalar_decide
+from tests.oracles import HotPageSample, batch_of, scalar_decide
 
 NODES = 4
 PAGES = 12
 
 
 def mask_decide(config, rng, metrics, hot_pages, nodes_of_page):
-    """The production decide, given an array placement over the map."""
+    """The production decide on the samples' batch, given an array
+    placement over the map."""
 
     def placement(pages):
         return np.asarray(
             [nodes_of_page.get(int(p), -1) for p in pages], dtype=np.int64
         )
 
-    return UserComponent(config, rng).decide(metrics, hot_pages, placement)
+    return UserComponent(config, rng).decide(
+        metrics, batch_of(hot_pages, NODES), placement
+    )
 
 
 def scalar_placement(nodes_of_page):

@@ -133,7 +133,8 @@ class TestAppRunPieces:
             epoch_seconds=1.0,
             ops_by_node=np.ones(8),
         )
-        assert obs.hot_pages == []
+        assert len(obs.hot_pages) == 0
+        assert obs.hot_pages.accesses.shape == (0, 8)
         self.world.teardown()
 
 
@@ -160,8 +161,9 @@ class TestDynamicSampling:
         assert len(obs.hot_pages) > 0
         # Samples carry the owning domain and valid page keys.
         domid = carrefour_run.context.domain_id
-        assert all(s.domain_id == domid for s in obs.hot_pages)
-        assert all(s.page >= 0 for s in obs.hot_pages)
+        assert (obs.hot_pages.domains == domid).all()
+        assert (obs.hot_pages.pages >= 0).all()
+        assert obs.hot_pages.accesses.shape == (len(obs.hot_pages), 8)
         self.world.teardown()
 
     def test_hottest_page_sampled_first(self, carrefour_run):
@@ -174,8 +176,7 @@ class TestDynamicSampling:
         )
         shared = carrefour_run.shared_segments[0]
         hot_key = int(shared.keys[0])
-        sampled_keys = {s.page for s in obs.hot_pages}
-        assert hot_key in sampled_keys
+        assert hot_key in obs.hot_pages.pages
         self.world.teardown()
 
 
