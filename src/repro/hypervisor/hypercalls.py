@@ -96,6 +96,11 @@ class HypercallTable:
             raise HypercallError(f"handler already registered for {call.name}")
         self._handlers[call] = handler
 
+    def clear(self) -> None:
+        """Unregister every handler (the host is shutting down); later
+        dispatches raise :class:`HypercallError`."""
+        self._handlers.clear()
+
     def dispatch(self, call: Hypercall, domain_id: int, vcpu_id: int, args: Any = None) -> Any:
         """Execute a hypercall; returns the handler's result.
 

@@ -749,8 +749,14 @@ class XenEnvironment(Environment):
         )
 
         def teardown():
-            for run in world.runs:
+            # Reads ``runs`` (the list ``world.runs`` is, migrations
+            # included) rather than the world, and unregisters the policy
+            # manager's handlers, which reference it while it references
+            # the table: either cycle would keep a torn-down world in
+            # memory until the next full garbage collection.
+            for run in runs:
                 run.context.teardown()
+            hypervisor.hypercalls.clear()
 
         world.teardown = teardown
         return world

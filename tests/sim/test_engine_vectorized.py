@@ -59,6 +59,28 @@ class TestOracleEquivalence:
             expected = loop_latency_matrix(solver, rho_c, rho_l)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    def test_stacked_latencies_match_per_world(self, solver):
+        """latency_matrix_many over W worlds — an idle one, loaded ones,
+        saturated ones and a single saturated link among idle ones —
+        equals latency_matrix per world, bit for bit."""
+        n = solver.num_nodes
+        worlds = [np.zeros((n, n))]
+        worlds += list(_random_matrices(solver, count=3))
+        worlds += list(_random_matrices(solver, count=3, scale=5e9, seed=7))
+        rho_c, rho_l = solver.congestion_many(np.stack(worlds), 1.0)
+        if rho_l.shape[1]:
+            rho_c = np.vstack([rho_c, np.zeros(n)])
+            one_link = np.zeros(rho_l.shape[1])
+            one_link[-1] = 3.0
+            rho_l = np.vstack([rho_l, one_link])
+        assert (rho_l > solver.machine.latency.rho_cap).any()
+        assert not rho_l[0].any()
+        stacked = solver.latency_matrix_many(rho_c, rho_l)
+        for w in range(len(rho_c)):
+            np.testing.assert_array_equal(
+                stacked[w], solver.latency_matrix(rho_c[w], rho_l[w])
+            )
+
     def test_zero_latency_matrix_is_memoized(self, solver):
         n = solver.num_nodes
         zeros_l = np.zeros(len(solver.link_bw))

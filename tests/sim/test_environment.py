@@ -1,9 +1,15 @@
 """Environment wiring: guest sizing, policy selection, io/sync params."""
 
+import gc
+import weakref
 
+import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
+from repro.errors import HypercallError
+from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.xen import XEN, XEN_PLUS
+from repro.sim.engine import run_world
 from repro.sim.environment import (
     LinuxEnvironment,
     MCS_APPS,
@@ -134,3 +140,34 @@ class TestLinuxSetup:
         )
         linux.teardown()
         xen.teardown()
+
+
+class TestXenTeardown:
+    @pytest.mark.parametrize("features", [XEN, XEN_PLUS], ids=["Xen", "Xen+"])
+    def test_finished_world_is_freed_without_the_cycle_collector(self, features):
+        """Teardown leaves no reference cycle through the world or the
+        hypervisor's hypercall table, so a finished static-policy world
+        is released as soon as its last reference goes, not at the next
+        full garbage collection (which let dead worlds pile up and raised
+        peak memory over a long sweep)."""
+        app = fast_app(get_app("cg.C"), baseline_seconds=2.0)
+        world = xen_world(app, PolicySpec(PolicyName.ROUND_1G), features=features)
+        machine = weakref.ref(world.machine)
+        hypervisor = weakref.ref(world.runs[0].context.hypervisor)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_world(world)
+            del world
+            assert machine() is None
+            assert hypervisor() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_hypercalls_after_teardown_raise(self):
+        world = xen_world(fast_app(get_app("cg.C")), PolicySpec(PolicyName.ROUND_4K))
+        hypercalls = world.runs[0].context.hypervisor.hypercalls
+        world.teardown()
+        with pytest.raises(HypercallError):
+            hypercalls.dispatch(Hypercall.EMPTY, 1, 0)
