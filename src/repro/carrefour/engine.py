@@ -26,6 +26,7 @@ from repro.carrefour.heuristics import (
 )
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
 from repro.core.policies.base import EpochObservation
+from repro.errors import PolicyError
 from repro.hardware.counters import HotPageBatch, PerfCounters
 
 
@@ -182,6 +183,10 @@ class UserComponent:
         return result
 
 
+def _shut_down(*args) -> None:
+    raise PolicyError("Carrefour is shut down")
+
+
 class SystemComponent:
     """Counter access and migration execution (inside Xen in the port).
 
@@ -241,8 +246,15 @@ class SystemComponent:
         return applied
 
     def shutdown(self) -> None:
-        """Release the performance counters."""
+        """Release the performance counters and drop the callbacks.
+
+        The callbacks are bound methods of the policy that owns this
+        component; dropping them breaks that reference cycle, so a
+        finished world is freed by reference counting.
+        """
         self.counters.release(self.OWNER)
+        self.placement = _shut_down
+        self.apply_fn = _shut_down
 
 
 class CarrefourEngine:
@@ -300,5 +312,11 @@ class CarrefourEngine:
         return self.config.iteration_overhead_seconds
 
     def shutdown(self) -> None:
-        """Stop the engine and release the counters."""
+        """Stop the engine and release the counters.
+
+        The command channel may close over the policy manager, which
+        reaches this engine through its domains; it reverts to the
+        (now stopped) system component.
+        """
         self.system.shutdown()
+        self.command_channel = self.system.apply

@@ -107,8 +107,10 @@ class CarrefourPolicy(NumaPolicy):
         return self.engine.system.apply(decisions)
 
     def shutdown(self) -> None:
-        """Release the performance counters."""
+        """Release the performance counters and drop the cycles through
+        the engine's callbacks and the domain (which holds this policy)."""
         self.engine.shutdown()
+        self._current_domain = None
 
     def describe(self) -> str:
         return f"carrefour on top of {self.base.name}"

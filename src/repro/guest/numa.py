@@ -15,7 +15,7 @@ experiments of Figure 2 and Table 1 run on it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -69,6 +69,12 @@ class LinuxNumaMode:
         self.pages_migrated = 0
         #: Optional hook (vpfn, node) fired when a page gains a frame.
         self.on_page_placed: Optional[Callable[[int, int], None]] = None
+        #: Optional hook (vpfn list, node array) fired when
+        #: :meth:`back_many` backs a batch; without it the batch fires
+        #: ``on_page_placed`` per page.
+        self.on_pages_placed: Optional[
+            Callable[[List[int], np.ndarray], None]
+        ] = None
         #: Optional hook (vpfn, node) fired when Carrefour moves a page.
         self.on_page_moved: Optional[Callable[[int, int], None]] = None
         self.engine: Optional[CarrefourEngine] = None
@@ -102,6 +108,34 @@ class LinuxNumaMode:
             self.on_page_placed(vpfn, self.machine.node_of_frame(mfn))
         return mfn
 
+    def back_many(self, vpfns: List[int], node: int) -> Optional[List[int]]:
+        """Back a batch of faulting pages, all touched from ``node``.
+
+        State-identical to :meth:`backing` per vpfn in order for a thread
+        on ``node`` (allocator, cursor, frame map and placement hooks).
+        Returns the frames, or None (nothing allocated) when memory
+        cannot hold the batch. Both sides are int lists, so the caller's
+        page table can share their int objects with the frame map, as
+        the per-page faults do.
+        """
+        if self.policy == "first-touch":
+            mfns = self.allocator.alloc_many(
+                np.full(len(vpfns), node, dtype=np.int64)
+            )
+        else:
+            mfns = self.allocator.alloc_round_robin_many(len(vpfns))
+        if mfns is None:
+            return None
+        frames = mfns.tolist()
+        self._frames.update(zip(vpfns, frames))
+        nodes = self.machine.nodes_of_frames(mfns)
+        if self.on_pages_placed is not None:
+            self.on_pages_placed(vpfns, nodes)
+        elif self.on_page_placed is not None:
+            for vpfn, placed in zip(vpfns, nodes.tolist()):
+                self.on_page_placed(vpfn, placed)
+        return frames
+
     def release_vpfn(self, vpfn: int) -> bool:
         """Free the frame *currently* backing ``vpfn`` (munmap path).
 
@@ -114,10 +148,6 @@ class LinuxNumaMode:
             return False
         self.allocator.free(mfn)
         return True
-
-    def forget_page(self, vpfn: int) -> None:
-        """Remove a vpfn from the placement map (after munmap)."""
-        self._frames.pop(vpfn, None)
 
     # ------------------------------------------------------------------
     # Carrefour plumbing

@@ -162,6 +162,70 @@ class NativePageAllocator:
         self._rr_cursor = (self._rr_cursor + 1) % self.machine.num_nodes
         return self.alloc_on(node)
 
+    def alloc_many(self, preferred: np.ndarray) -> Optional[np.ndarray]:
+        """One frame per entry, as ``alloc_on(preferred[i])`` in order.
+
+        A node serves pages until it is down to ``reserve_per_node`` and
+        then stays full for the rest of the batch, so the batch splits
+        into at most ``num_nodes`` phases, each with a fixed route from
+        preferred node to the first node with room in ``alloc_on``'s
+        spill order. Every node then takes its pages with one
+        ``alloc_singles`` (single-frame first-fit drains a node's extents
+        front to back, and nodes share no frames): the frames, the
+        extents and ``fallback_allocations`` end as the per-page loop
+        leaves them. Returns None, allocating nothing, when the nodes
+        together cannot hold the batch; the per-page loop then raises
+        :class:`OutOfMemoryError` at the page where memory runs out.
+        """
+        preferred = np.asarray(preferred, dtype=np.int64)
+        count = preferred.size
+        num = self.machine.num_nodes
+        memory = self.machine.memory
+        room = [
+            max(0, memory.free_frames_on(node) - self.reserve_per_node)
+            for node in range(num)
+        ]
+        if count == 0 or sum(room) < count:
+            return None
+        nodes = np.empty(count, dtype=np.int64)
+        pos = 0
+        while pos < count:
+            route = list(range(num))
+            for node in range(num):
+                while not room[route[node]]:
+                    route[node] = (route[node] + 1) % num
+            phase = np.asarray(route, dtype=np.int64)[preferred[pos:]]
+            end = phase.size
+            demand = np.bincount(phase, minlength=num).tolist()
+            for node in range(num):
+                if demand[node] > room[node]:
+                    # The page that finds ``node`` full ends the phase.
+                    end = min(end, int(np.flatnonzero(phase == node)[room[node]]))
+            phase = phase[:end]
+            nodes[pos : pos + end] = phase
+            for node, taken in enumerate(np.bincount(phase, minlength=num).tolist()):
+                room[node] -= taken
+            pos += end
+        self.fallback_allocations += int(np.count_nonzero(nodes != preferred))
+        mfns = np.empty(count, dtype=np.int64)
+        for node, taken in enumerate(np.bincount(nodes, minlength=num).tolist()):
+            if taken:
+                mfns[nodes == node] = memory.alloc_singles(node, taken)
+        return mfns
+
+    def alloc_round_robin_many(self, count: int) -> Optional[np.ndarray]:
+        """``count`` successive :meth:`alloc_round_robin` calls in one batch.
+
+        Returns None, leaving the cursor and memory untouched, when
+        :meth:`alloc_many` cannot place the batch.
+        """
+        num = self.machine.num_nodes
+        preferred = (self._rr_cursor + np.arange(count, dtype=np.int64)) % num
+        mfns = self.alloc_many(preferred)
+        if mfns is not None:
+            self._rr_cursor = (self._rr_cursor + count) % num
+        return mfns
+
     def free(self, mfn: int) -> None:
         """Return a frame to its node."""
         self.machine.memory.free_frames(mfn, 1)

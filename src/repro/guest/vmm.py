@@ -113,15 +113,15 @@ class GuestAddressSpace:
         self._table[vpfn] = frame
         return frame
 
-    def map_many(self, vpfns, frames) -> None:
+    def map_many(self, vpfns: List[int], frames: List[int]) -> None:
         """Install a whole batch of fault resolutions at once.
 
         Equivalent to ``len(vpfns)`` faulting :meth:`touch` calls whose
-        backing returned ``frames``; the caller (the batch init path)
-        guarantees every vpfn is unmapped and inside a VMA.
+        backing returned ``frames`` (int lists); the caller (the batch
+        init path) guarantees every vpfn is unmapped and inside a VMA.
         """
         self.guest_faults += len(vpfns)
-        self._table.update(zip(vpfns.tolist(), frames.tolist()))
+        self._table.update(zip(vpfns, frames))
 
     def translate(self, vpfn: int) -> Optional[int]:
         """Current mapping of ``vpfn`` (None if not yet touched)."""

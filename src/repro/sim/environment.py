@@ -142,9 +142,9 @@ class _PolicyContext:
     Owns everything both environments do identically: the segment->VMA
     mapping, the touch/release templates with their first-access fault
     accounting, and the policy/teardown entry points the engine calls.
-    Subclasses wire in their address-space backing and implement the four
-    hooks (``_segment_attached``, ``_node_of_touch``, ``_release_mapped``,
-    ``_policy_cost``).
+    Subclasses wire in their address-space backing and implement the five
+    hooks (``_segment_attached``, ``_node_of_touch``, ``touch_segment``,
+    ``_release_mapped``, ``_policy_cost``).
 
     The release path deliberately checks "is this page mapped?" once, up
     front, for both environments — the two historical copies had drifted
@@ -212,13 +212,12 @@ class _PolicyContext:
     def touch_segment(
         self, run: AppRun, segment: RuntimeSegment, toucher: ThreadCtx
     ) -> bool:
-        """Touch a whole untouched segment in one batch, if possible.
+        """Hook: touch a whole untouched segment in one batch, if possible.
 
         Returns True when the segment was fully initialised; False means
-        the caller must fall back to the per-page :meth:`touch_page` loop
-        (the default — subclasses with a batch fast path override this).
+        the caller must fall back to the per-page :meth:`touch_page` loop.
         """
-        return False
+        raise NotImplementedError
 
     def release_page(self, run: AppRun, segment: RuntimeSegment, idx: int) -> None:
         vpfn = self._vpfn_of(segment, idx)
@@ -314,6 +313,7 @@ class _LinuxContext(_PolicyContext):
             nodes_of_frames=machine.nodes_of_frames,
         )
         numa_mode.on_page_placed = self.tracker.page_placed
+        numa_mode.on_pages_placed = self.tracker.pages_placed
         numa_mode.on_page_moved = self.tracker.page_placed
         # Frame release is keyed by vpfn through the NUMA mode (Carrefour
         # may migrate a page after the fault, making the page-table frame
@@ -339,6 +339,29 @@ class _LinuxContext(_PolicyContext):
 
     def _node_of_touch(self, segment, idx, vpfn, frame, thread, first) -> int:
         return self.machine.node_of_frame(frame)
+
+    def touch_segment(self, run, segment, toucher) -> bool:
+        """First-touch a whole untouched segment in one batch.
+
+        The per-page loop faults every vpfn in order from one thread:
+        each fault backs the page through the NUMA mode and maps it. Here
+        :meth:`LinuxNumaMode.back_many` allocates the frames (one
+        ``alloc_singles`` per node, with first-touch's spill order and
+        round-4K's cursor), one ``map_many`` installs them, and the
+        tracker writes the placement with one ``place_many``. The
+        segment must be untouched (its placement view mirrors the page
+        table) and memory must hold it whole; otherwise the loop runs,
+        so an out-of-memory error is raised at the same page.
+        """
+        if segment.placement.mapped_pages:
+            return False
+        vpfns = segment.keys.tolist()
+        frames = self.numa_mode.back_many(vpfns, toucher.node)
+        if frames is None:
+            return False
+        self.aspace.map_many(vpfns, frames)
+        self._init_faults += segment.num_pages
+        return True
 
     def _release_mapped(self, segment, idx, vpfn, frame) -> None:
         self.aspace.unmap_page(vpfn)
@@ -580,7 +603,7 @@ class _XenContext(_PolicyContext):
         vma = self._vma_of_segment[id(segment)]
         vpfns = np.arange(vma.start_vpfn, vma.end_vpfn, dtype=np.int64)
         # The guest fault per page, resolved in bulk.
-        self.aspace.map_many(vpfns, gpfns)
+        self.aspace.map_many(vpfns.tolist(), gpfns.tolist())
         self._init_faults += count
         segment.keys[:] = gpfns
         self.tracker.track_range(int(gpfns[0]), count, segment.placement, 0)
@@ -665,6 +688,9 @@ class _XenContext(_PolicyContext):
 
     def teardown(self) -> None:
         self.patch.detach()
+        # Shuts a Carrefour policy down, which breaks its engine's
+        # callback cycles.
+        self.hypervisor.policy_manager.forget_domain(self.domain)
 
 
 class XenEnvironment(Environment):
@@ -844,11 +870,6 @@ class XenEnvironment(Environment):
             for idx, key in zip(touched.tolist(), keys.tolist()):
                 context.tracker.track(key, segment.placement, idx)
 
-        # The source p2m still observes the *old* tracker, whose
-        # registrations point at the same shared segment placements the
-        # loop above just resynced — detach it so tearing the source
-        # down doesn't release the destination's placements.
-        source_domain.p2m.observer = None
         # The source p2m still observes the *old* tracker, whose
         # registrations point at the same shared segment placements the
         # loop above just resynced — detach it so tearing the source

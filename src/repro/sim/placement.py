@@ -247,6 +247,30 @@ class PlacementTracker:
         placement, idx = hit
         placement.release(idx)
 
+    def _range_hits(self, keys: np.ndarray):
+        """Split a duplicate-free key batch by registered range.
+
+        Returns ``(hits, rest)``: ``hits`` holds ``(mask, placement,
+        idxs)`` for each range the batch reaches, ``rest`` the positions
+        left to the scalar hooks (all of them once dict-tracked keys or
+        tombstones exist, which ranges cannot see).
+        """
+        handled = np.zeros(keys.shape, dtype=bool)
+        hits = []
+        if keys.size and self._ranges and not self._pages and not self._dead:
+            low, high = int(keys.min()), int(keys.max())
+            for start, count, placement, idx0 in self._ranges:
+                if start > high or start + count <= low:
+                    continue
+                mask = (keys >= start) & (keys < start + count) & ~handled
+                if not mask.any():
+                    continue
+                hits.append((mask, placement, idx0 + (keys[mask] - start)))
+                handled |= mask
+                if handled.all():
+                    break
+        return hits, np.nonzero(~handled)[0].tolist()
+
     def entries_set(self, gpfns: np.ndarray, mfns: np.ndarray) -> None:
         """Batch :meth:`entry_set` (p2m batch-observer protocol).
 
@@ -259,36 +283,19 @@ class PlacementTracker:
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         mfns = np.asarray(mfns, dtype=np.int64)
-        handled = np.zeros(gpfns.shape, dtype=bool)
-        if self._ranges and not self._pages and not self._dead:
-            for start, count, placement, idx0 in self._ranges:
-                mask = (gpfns >= start) & (gpfns < start + count) & ~handled
-                if not mask.any():
-                    continue
-                keys = gpfns[mask]
-                nodes = self._frame_nodes(mfns[mask])
-                placement.place_many(idx0 + (keys - start), nodes)
-                handled |= mask
-        if handled.all():
-            return
-        for pos in np.nonzero(~handled)[0].tolist():
+        hits, rest = self._range_hits(gpfns)
+        for mask, placement, idxs in hits:
+            placement.place_many(idxs, self._frame_nodes(mfns[mask]))
+        for pos in rest:
             self.entry_set(int(gpfns[pos]), int(mfns[pos]))
 
     def entries_invalidated(self, gpfns: np.ndarray) -> None:
         """Batch :meth:`entry_invalidated` (p2m batch-observer protocol)."""
         gpfns = np.asarray(gpfns, dtype=np.int64)
-        handled = np.zeros(gpfns.shape, dtype=bool)
-        if self._ranges and not self._pages and not self._dead:
-            for start, count, placement, idx0 in self._ranges:
-                mask = (gpfns >= start) & (gpfns < start + count) & ~handled
-                if not mask.any():
-                    continue
-                keys = gpfns[mask]
-                placement.release_many(idx0 + (keys - start))
-                handled |= mask
-        if handled.all():
-            return
-        for pos in np.nonzero(~handled)[0].tolist():
+        hits, rest = self._range_hits(gpfns)
+        for _mask, placement, idxs in hits:
+            placement.release_many(idxs)
+        for pos in rest:
             self.entry_invalidated(int(gpfns[pos]))
 
     # ------------------------------------------------------------------
@@ -300,6 +307,16 @@ class PlacementTracker:
             return
         placement, idx = hit
         placement.place(idx, node)
+
+    def pages_placed(self, keys: np.ndarray, nodes: np.ndarray) -> None:
+        """Batch :meth:`page_placed`, resolved like :meth:`entries_set`."""
+        keys = np.asarray(keys, dtype=np.int64)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        hits, rest = self._range_hits(keys)
+        for mask, placement, idxs in hits:
+            placement.place_many(idxs, nodes[mask])
+        for pos in rest:
+            self.page_placed(int(keys[pos]), int(nodes[pos]))
 
     def page_released(self, key: int) -> None:
         self.entry_invalidated(key)

@@ -45,6 +45,40 @@ class TestRound4K:
         assert nodes == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
+class TestBackMany:
+    @pytest.mark.parametrize("policy", ["first-touch", "round-4k"])
+    def test_matches_per_page_backing(self, machine, policy):
+        placed = {"bulk": [], "loop": []}
+        bulk = LinuxNumaMode(machine, policy)
+        bulk.on_pages_placed = lambda v, n: placed["bulk"].extend(
+            zip(v, n.tolist())
+        )
+        other = small_machine(num_nodes=4, cpus_per_node=2, frames_per_node=512)
+        loop = LinuxNumaMode(other, policy)
+        loop.on_page_placed = lambda v, n: placed["loop"].append((v, n))
+        vpfns = list(range(100, 110))
+        mfns = bulk.back_many(vpfns, 2)
+        expected = [loop.backing(v, thread_on(2)) for v in vpfns]
+        assert mfns == expected
+        assert bulk._frames == loop._frames
+        assert placed["bulk"] == placed["loop"]
+
+    def test_scalar_hook_without_batch_hook(self, machine):
+        placed = []
+        mode = LinuxNumaMode(machine, "first-touch")
+        mode.on_page_placed = lambda v, n: placed.append((v, n))
+        mode.back_many([7, 8], 1)
+        assert placed == [(7, 1), (8, 1)]
+
+    def test_too_large_batch_allocates_nothing(self, machine):
+        mode = LinuxNumaMode(machine, "round-4k")
+        free = [machine.memory.free_frames_on(n) for n in range(4)]
+        assert mode.back_many(list(range(4 * 512 + 1)), 0) is None
+        assert [machine.memory.free_frames_on(n) for n in range(4)] == free
+        assert mode._frames == {}
+        assert mode.allocator._rr_cursor == 0
+
+
 class TestValidation:
     def test_unknown_policy_rejected(self, machine):
         with pytest.raises(PolicyError):

@@ -26,6 +26,22 @@ def xen_world(app, policy, features=XEN_PLUS, **env_kwargs):
     return env.setup([VmSpec(app=app, policy=policy)])
 
 
+def freed_by_refcount(make_world):
+    """Run a fresh world to the end and drop it with the cycle collector
+    off; True when its machine (which the hypervisor holds) died too."""
+    world = make_world()
+    machine = weakref.ref(world.machine)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_world(world)
+        del world
+        return machine() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestXenSetup:
     def test_policy_selected_through_hypercall(self):
         app = fast_app(get_app("cg.C"))
@@ -141,6 +157,17 @@ class TestLinuxSetup:
         linux.teardown()
         xen.teardown()
 
+    @pytest.mark.parametrize("policy", ["first-touch", "round-4k"])
+    def test_finished_carrefour_world_is_freed_without_the_cycle_collector(
+        self, policy
+    ):
+        """The engine's placement and apply callbacks are bound to the
+        NUMA mode that holds the engine; teardown breaks that cycle."""
+        app = fast_app(get_app("cg.C"), baseline_seconds=2.0)
+        assert freed_by_refcount(
+            lambda: LinuxEnvironment(policy=policy, carrefour=True).setup([app])
+        )
+
 
 class TestXenTeardown:
     @pytest.mark.parametrize("features", [XEN, XEN_PLUS], ids=["Xen", "Xen+"])
@@ -151,19 +178,23 @@ class TestXenTeardown:
         full garbage collection (which let dead worlds pile up and raised
         peak memory over a long sweep)."""
         app = fast_app(get_app("cg.C"), baseline_seconds=2.0)
-        world = xen_world(app, PolicySpec(PolicyName.ROUND_1G), features=features)
-        machine = weakref.ref(world.machine)
-        hypervisor = weakref.ref(world.runs[0].context.hypervisor)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            run_world(world)
-            del world
-            assert machine() is None
-            assert hypervisor() is None
-        finally:
-            if enabled:
-                gc.enable()
+        assert freed_by_refcount(
+            lambda: xen_world(
+                app, PolicySpec(PolicyName.ROUND_1G), features=features
+            )
+        )
+
+    @pytest.mark.parametrize("base", [PolicyName.FIRST_TOUCH, PolicyName.ROUND_4K])
+    def test_finished_carrefour_world_is_freed_without_the_cycle_collector(
+        self, base
+    ):
+        """Carrefour's engine calls back into its policy, the policy holds
+        its domain, and the command channel closes over the policy
+        manager; teardown breaks each of these cycles."""
+        app = fast_app(get_app("cg.C"), baseline_seconds=2.0)
+        assert freed_by_refcount(
+            lambda: xen_world(app, PolicySpec(base, carrefour=True))
+        )
 
     def test_hypercalls_after_teardown_raise(self):
         world = xen_world(fast_app(get_app("cg.C")), PolicySpec(PolicyName.ROUND_4K))

@@ -1,5 +1,6 @@
 """Placement views and their synchronisation with the p2m table."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -115,3 +116,36 @@ class TestTrackerWithP2M:
         assert placement.verify_against(truth.get)
         truth[1] = 3
         assert not placement.verify_against(truth.get)
+
+
+class TestLinuxHooks:
+    def test_pages_placed_matches_page_placed(self):
+        """Range keys, dict-tracked keys and untracked keys end as the
+        scalar hook leaves them."""
+        sides = []
+        for batch in (True, False):
+            tracker = PlacementTracker(node_of_frame=lambda mfn: 0)
+            ranged = SegmentPlacement(4, 4)
+            single = SegmentPlacement(2, 4)
+            tracker.track_range(100, 4, ranged, 0)
+            keys = np.array([101, 103, 500, 100], dtype=np.int64)
+            nodes = np.array([2, 3, 1, 0], dtype=np.int64)
+            if batch:
+                tracker.pages_placed(keys, nodes)
+            else:
+                for key, node in zip(keys.tolist(), nodes.tolist()):
+                    tracker.page_placed(key, node)
+            tracker.track(200, single, 1)
+            if batch:
+                tracker.pages_placed(np.array([200, 102]), np.array([3, 1]))
+            else:
+                tracker.page_placed(200, 3)
+                tracker.page_placed(102, 1)
+            sides.append(
+                [
+                    (p.nodes.tolist(), p.counts.tolist(), p.version)
+                    for p in (ranged, single)
+                ]
+            )
+        assert sides[0] == sides[1]
+        assert sides[0][0][0] == [0, 2, 1, 3]
