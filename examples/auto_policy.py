@@ -28,6 +28,11 @@ from repro.workloads.suite import get_app
 APPS = ["cg.C", "bt.C", "kmeans", "dc.B", "wrmem"]
 
 
+def resolve(request):
+    """One single-VM run through the default pipeline."""
+    return common.default_runner().resolve([request]).one(request)
+
+
 def main() -> int:
     rows = []
     for name in APPS:
@@ -41,13 +46,14 @@ def main() -> int:
             churn_per_thread_s=app.churn_per_thread_s,
         ).select()
 
-        # Oracle: the full sweep (memoised across apps by the harness).
-        _, oracle_label = common.xen_numa_run(app)
+        # Oracle: the full sweep, resolved through the default pipeline
+        # (its in-memory store serves the regret runs below as hits).
+        _, oracle_label = common.best_xen_numa(resolve, name)
         oracle = PolicySpec.parse(oracle_label)
 
         def regret(spec):
-            chosen = common.xen_run(app, spec)
-            best = common.xen_run(app, oracle)
+            chosen = resolve(common.xen_request(name, spec))
+            best = resolve(common.xen_request(name, oracle))
             return chosen.completion_seconds / best.completion_seconds - 1.0
 
         rows.append(

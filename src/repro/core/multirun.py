@@ -24,8 +24,8 @@ fixed-point solve advances in one structure-of-arrays program —
 Everything per-world stays per-world: commit, observations, policies,
 churn, hardware counters and teardown run per run in the scalar order,
 so results are **bit-identical** to serial execution — the parity tests
-(tests/core, tests/properties) and the ``results_match`` check of the
-``bench_multi_run`` perfbench section hold the line.
+(tests/core, tests/properties) and the store digests of e2ebench's
+``batched`` workload hold the line.
 
 Fallback rules (a request executes through plain
 :func:`~repro.runner.exec.execute_request` instead of a group) —

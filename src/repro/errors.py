@@ -101,16 +101,3 @@ class ExperimentError(ReproError):
     microbenchmarks) rejects an ``apps`` restriction instead of silently
     ignoring it."""
 
-
-class ServeError(ReproError):
-    """A serving-layer failure surfaced to a client.
-
-    Carries a stable machine-readable ``code`` (``queue-full``,
-    ``shutting-down``, ``timeout``, ``worker-died``, ``bad-request``,
-    ``protocol``) alongside the human-readable message, so clients can
-    distinguish backpressure rejections from execution failures.
-    """
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code

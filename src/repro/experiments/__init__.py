@@ -9,10 +9,9 @@ Command line::
 
     python -m repro.experiments list
     python -m repro.experiments run fig2 fig6 --jobs 8 --store .runstore
-    python -m repro.experiments <name> [app ...]   # legacy form
 
-Names: fig1, fig2, table1, table2, table3, table4, fig5, io_micro (alias
-io), fig6, fig7, fig8, fig9, fig10, batching.
+Names: fig1, fig2, table1, table2, table3, table4, fig5, io_micro, fig6,
+fig7, fig8, fig9, fig10, batching, cluster_migration.
 """
 
 from repro.experiments import common

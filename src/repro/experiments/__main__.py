@@ -1,15 +1,14 @@
 """Command-line entry point for the experiment pipeline.
 
-Two forms::
+::
 
     python -m repro.experiments run fig2 fig6 --jobs 8 --store .runstore
-    python -m repro.experiments <name> [app ...]     # legacy direct form
 
 plus ``list`` (describe every scenario) and ``report`` (regenerate
-EXPERIMENTS.md). The ``run`` form resolves the scenarios' declared
-requests through one shared store — duplicates across scenarios execute
-once — and prints the store/runner counters at the end, so a second
-invocation against an on-disk ``--store`` shows the hits.
+EXPERIMENTS.md). ``run`` resolves the scenarios' declared requests
+through one shared store — duplicates across scenarios execute once —
+and prints the store/runner counters at the end, so a second invocation
+against an on-disk ``--store`` shows the hits.
 """
 
 from __future__ import annotations
@@ -17,50 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro import obs
 from repro.config import SimConfig
 from repro.errors import ReproError
-from repro.experiments import (
-    batching,
-    cluster_migration,
-    common,
-    fig1,
-    fig2,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    io_micro,
-    registry,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro.experiments import common, registry
 from repro.runner import Runner
 from repro.runstore import open_store
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "fig5": fig5.run,
-    "io": io_micro.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "batching": batching.run,
-    "cluster_migration": cluster_migration.run,
-}
 
 USAGE = """\
 usage: python -m repro.experiments <command>
@@ -71,20 +34,15 @@ commands:
                                options: --jobs N  --batch-worlds K
                                         --store DIR  --apps a,b
                                         --page-scale N  --quiet
-  submit <name ...|all> [opts] resolve scenarios through a running
-                               `python -m repro.serve` server
-                               options: --ready-file PATH | --host H --port P
-                                        --apps a,b  --page-scale N  --quiet
-                                        --metrics PATH  --shutdown
+                                        --trace PATH
   report [output.md]           regenerate the EXPERIMENTS.md report
-  <name> [app ...]             legacy form: one experiment, default store
 
 scenario names: {names}
 """
 
 
 def _usage() -> str:
-    return USAGE.format(names=", ".join(EXPERIMENTS))
+    return USAGE.format(names=", ".join(registry.scenario_names()))
 
 
 def _list_command() -> int:
@@ -165,75 +123,6 @@ def _run_command(argv: List[str]) -> int:
     return 0
 
 
-def _submit_command(argv: List[str]) -> int:
-    # Imported here: the serve client pulls in asyncio/socket machinery
-    # that plain `run` invocations never need.
-    from repro.obs.trace import write_trace
-    from repro.serve.client import ClientRunner, ServeClient
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments submit",
-        description="Resolve scenarios through a running repro serve server.",
-    )
-    parser.add_argument("names", nargs="+", help="scenario names, or 'all'")
-    parser.add_argument(
-        "--ready-file", default=None, metavar="PATH",
-        help="server address file written by `python -m repro.serve --ready-file`",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="server address")
-    parser.add_argument("--port", type=int, default=None, help="server port")
-    parser.add_argument(
-        "--apps", default=None, metavar="A,B,...",
-        help="comma-separated application subset",
-    )
-    parser.add_argument(
-        "--page-scale", type=int, default=None, metavar="N",
-        help="override SimConfig.page_scale (must match the server's "
-        "config for stored keys to hit)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the per-scenario tables"
-    )
-    parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write the server's live obs snapshot (trace-payload JSON)",
-    )
-    parser.add_argument(
-        "--shutdown", action="store_true",
-        help="ask the server to drain and stop after this submission",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    apps: Optional[List[str]] = args.apps.split(",") if args.apps else None
-    names = registry.scenario_names() if args.names == ["all"] else args.names
-    if args.ready_file is None and args.port is None:
-        print("error: submit needs --ready-file or --host/--port", file=sys.stderr)
-        return 1
-    if args.ready_file is not None:
-        client = ServeClient.from_ready_file(args.ready_file)
-    else:
-        client = ServeClient(args.host, args.port)
-    with ExitStack() as stack:
-        stack.callback(client.close)
-        runner = ClientRunner(client)
-        if args.page_scale is not None:
-            stack.enter_context(common.configured(SimConfig(page_scale=args.page_scale)))
-        for name in names:
-            scenario = registry.get_scenario(name)
-            if not args.quiet:
-                print(f"\n######## {scenario.name} ########\n")
-            scenario.run(apps=apps, verbose=not args.quiet, runner=runner)
-        if args.metrics is not None:
-            write_trace(args.metrics, client.metrics())
-            print(f"metrics written to {args.metrics}")
-        if args.shutdown:
-            client.shutdown()
-    print(runner.summary())
-    return 0
-
-
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     if not argv or argv[0] in ("-h", "--help"):
@@ -245,25 +134,12 @@ def main(argv=None) -> int:
             return _list_command()
         if command == "run":
             return _run_command(argv[1:])
-        if command == "submit":
-            return _submit_command(argv[1:])
         if command == "report":
             from repro.experiments import report
 
             return report.main(argv[1:])
-        # Legacy form: one experiment through the process-default store.
-        apps = argv[1:] or None
-        if command == "all":
-            for key, runner in EXPERIMENTS.items():
-                print(f"\n######## {key} ########\n")
-                runner(apps=apps)
-            return 0
-        runner = EXPERIMENTS.get(command)
-        if runner is None:
-            print(f"unknown experiment {command!r}; known: {', '.join(EXPERIMENTS)}")
-            return 1
-        runner(apps=apps)
-        return 0
+        print(f"unknown command {command!r}\n\n{_usage()}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,12 +17,6 @@ them through a :mod:`repro.runstore` store — Figure 6 literally requires
 Figure 2's sweep requests, Figure 10 requires Figure 7's, and the store
 turns that shared identity into cache hits instead of relying on memo-dict
 coincidence.
-
-The historical per-process memo survives as thin shims: ``linux_run`` and
-friends resolve a single request through a module-default in-memory store,
-``_CACHE`` aliases that store's dict (keys are now content hashes) and
-``clear_cache`` empties it — tests written against the old interface keep
-passing unchanged.
 """
 
 from __future__ import annotations
@@ -32,17 +26,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec
-from repro.errors import WorkloadError
 from repro.hypervisor.xen import XEN, XEN_PLUS, XenFeatures
 from repro.runner import ResultSet, Runner
 from repro.runstore.memory import MemoryRunStore
-from repro.sim.engine import run_app, run_apps
-from repro.sim.environment import (
-    LinuxEnvironment,
-    VmSpec,
-    XenEnvironment,
-    MCS_APPS,
-)
+from repro.sim.environment import MCS_APPS
 from repro.sim.results import RunResult
 from repro.sim.runspec import RunRequest, VmRequest
 from repro.workloads.app import AppSpec
@@ -73,10 +60,6 @@ XEN_POLICIES_ALL: List[PolicySpec] = [PolicySpec(PolicyName.ROUND_1G)] + XEN_POL
 _STORE = MemoryRunStore()
 _RUNNER = Runner(store=_STORE, jobs=1)
 
-#: Legacy alias: the default store's underlying dict. Keys are request
-#: cache hashes (they used to be ad-hoc tuples); the dict object is
-#: stable across ``clear_cache`` calls, so holding a reference stays safe.
-_CACHE = _STORE.data
 
 class _ConfigHolder:
     """Holds the process-default request-construction config.
@@ -95,12 +78,12 @@ _DEFAULT = _ConfigHolder()
 
 
 def default_runner() -> Runner:
-    """The process-wide serial runner the experiment shims resolve through."""
+    """The process-wide serial runner scenarios resolve through by default."""
     return _RUNNER
 
 
 def clear_cache() -> None:
-    """Drop all memoised runs (tests use this for isolation)."""
+    """Drop every run the default store holds (tests use this for isolation)."""
     _STORE.clear()
     _RUNNER.stats.requested = 0
     _RUNNER.stats.deduplicated = 0
@@ -250,7 +233,7 @@ def xen_numa_requests(
 
 
 # ----------------------------------------------------------------------
-# Best-policy pickers (shared by LinuxNUMA/Xen+NUMA scenarios and shims)
+# Best-policy pickers (shared by the LinuxNUMA/Xen+NUMA scenarios)
 
 
 def _pick_best(
@@ -301,120 +284,6 @@ def _linux_label(policy: str, carrefour: bool) -> str:
     return label
 
 
-# ----------------------------------------------------------------------
-# Legacy memoised runners (thin shims over the default pipeline)
-
-
-def _is_suite_app(app: AppSpec) -> bool:
-    """Whether ``app`` is the registered suite spec (vs an ad-hoc copy)."""
-    try:
-        return get_app(app.name) == app
-    except WorkloadError:
-        return False
-
-
-def _resolve_one(request: RunRequest) -> RunResult:
-    return _RUNNER.resolve([request]).one(request)
-
-
-def linux_run(
-    app: AppSpec,
-    policy: str = "first-touch",
-    carrefour: bool = False,
-    mcs_locks: bool = False,
-    config: Optional[SimConfig] = None,
-) -> RunResult:
-    """One memoised native-Linux run."""
-    config = config or default_config()
-    if not _is_suite_app(app):
-        # Ad-hoc AppSpec copies cannot be named in a request; run direct.
-        env = LinuxEnvironment(
-            policy=policy, carrefour=carrefour, mcs_locks=mcs_locks, config=config
-        )
-        return run_app(env, app)
-    return _resolve_one(
-        linux_request(app.name, policy, carrefour, mcs_locks=mcs_locks, config=config)
-    )
-
-
-def linux_numa_run(app: AppSpec, config: Optional[SimConfig] = None) -> Tuple[RunResult, str]:
-    """LinuxNUMA: the best Linux policy for ``app`` (+ MCS where used)."""
-    mcs = app.name in MCS_APPS
-    return _pick_best(
-        (
-            linux_run(app, policy, carrefour, mcs_locks=mcs, config=config),
-            _linux_label(policy, carrefour),
-        )
-        for policy, carrefour in LINUX_COMBOS
-    )
-
-
-def xen_run(
-    app: AppSpec,
-    policy: PolicySpec,
-    features: XenFeatures = XEN_PLUS,
-    config: Optional[SimConfig] = None,
-) -> RunResult:
-    """One memoised single-VM Xen run (48 vCPUs, all threads pinned)."""
-    config = config or default_config()
-    if not _is_suite_app(app) or features not in (XEN, XEN_PLUS):
-        # Ad-hoc apps or feature sets cannot be named in a request; run direct.
-        env = XenEnvironment(features=features, config=config)
-        return run_app(env, VmSpec(app=app, policy=policy))
-    return _resolve_one(xen_request(app.name, policy, features=features, config=config))
-
-
-def xen_stock_run(app: AppSpec, config: Optional[SimConfig] = None) -> RunResult:
-    """Stock Xen (Figure 1): round-1G, PV I/O, blocking locks."""
-    return xen_run(app, PolicySpec(PolicyName.ROUND_1G), features=XEN, config=config)
-
-
-def xen_plus_run(app: AppSpec, config: Optional[SimConfig] = None) -> RunResult:
-    """Xen+ baseline (sections 5.3-5.4): round-1G with the mitigations."""
-    return xen_run(
-        app, PolicySpec(PolicyName.ROUND_1G), features=XEN_PLUS, config=config
-    )
-
-
-def xen_numa_run(app: AppSpec, config: Optional[SimConfig] = None) -> Tuple[RunResult, str]:
-    """Xen+NUMA: the best Xen+ policy for ``app`` (round-1G included)."""
-    return _pick_best(
-        (xen_run(app, spec, features=XEN_PLUS, config=config), spec.label)
-        for spec in XEN_POLICIES_ALL
-    )
-
-
-def xen_pair_run(
-    specs: Sequence[VmSpec],
-    features: XenFeatures = XEN_PLUS,
-    config: Optional[SimConfig] = None,
-) -> List[RunResult]:
-    """A multi-VM run (Figures 8 and 9), now store-backed like the rest."""
-    config = config or default_config()
-    if features not in (XEN, XEN_PLUS) or not all(
-        _is_suite_app(spec.app) for spec in specs
-    ):
-        env = XenEnvironment(features=features, config=config)
-        return run_apps(env, list(specs))
-    request = pair_request(
-        [
-            VmRequest(
-                app=spec.app.name,
-                policy=spec.policy.base.value,
-                carrefour=spec.policy.carrefour,
-                num_vcpus=spec.num_vcpus,
-                home_nodes=spec.home_nodes,
-                pin_pcpus=spec.pin_pcpus,
-                memory_pages=spec.memory_pages,
-            )
-            for spec in specs
-        ],
-        features=features,
-        config=config,
-    )
-    return list(_RUNNER.resolve([request]).get(request))
-
-
 __all__ = [
     "LINUX_COMBOS",
     "XEN_POLICIES",
@@ -436,11 +305,4 @@ __all__ = [
     "xen_numa_requests",
     "best_linux_numa",
     "best_xen_numa",
-    "linux_run",
-    "linux_numa_run",
-    "xen_run",
-    "xen_stock_run",
-    "xen_plus_run",
-    "xen_numa_run",
-    "xen_pair_run",
 ]

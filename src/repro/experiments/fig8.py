@@ -24,7 +24,6 @@ from repro.experiments import common
 from repro.experiments.registry import Scenario, register
 from repro.runner import ResultSet, Runner
 from repro.sim.runspec import RunRequest, VmRequest
-from repro.workloads.suite import get_app
 
 #: The five colocated pairs (the paper's figure labels are not
 #: machine-readable; the text names cg.C + sp.C explicitly, the others
@@ -96,15 +95,9 @@ def pair_run_request(
     return common.pair_request(vms)
 
 
-def best_policy_spec(app_name: str) -> PolicySpec:
-    """The measured best single-VM Xen policy for an application."""
-    app = get_app(app_name)
-    _, label = common.xen_numa_run(app)
-    return PolicySpec.parse(label)
-
-
 def resolved_best_spec(results: ResultSet, app_name: str) -> PolicySpec:
-    """Like :func:`best_policy_spec`, reading the sweep from ``results``."""
+    """The measured best single-VM Xen policy for an application, reading
+    its sweep from ``results``."""
     _, label = common.best_xen_numa(results.one, app_name)
     return PolicySpec.parse(label)
 

@@ -19,12 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.tables import format_percent, format_table
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.experiments import common
-from repro.experiments.fig8 import best_policy_spec, pair_apps, resolved_best_spec
+from repro.experiments.fig8 import pair_apps, resolved_best_spec
 from repro.experiments.registry import Scenario, register
 from repro.runner import ResultSet, Runner
 from repro.sim.runspec import RunRequest, VmRequest
 
-__all__ = ["DEFAULT_PAIRS", "Fig9Result", "PairResult", "run", "best_policy_spec"]
+__all__ = ["DEFAULT_PAIRS", "Fig9Result", "PairResult", "run"]
 
 #: Six consolidated pairs (labels in the paper's figure are garbled; the
 #: pairs cover all imbalance classes).

@@ -50,9 +50,6 @@ SCENARIO_MODULES: Tuple[str, ...] = (
     "cluster_migration",
 )
 
-#: CLI aliases (the historical short names keep working).
-ALIASES: Dict[str, str] = {"io": "io_micro"}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -114,14 +111,13 @@ def load_all() -> None:
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look up a scenario by name or alias.
+    """Look up a scenario by name.
 
     Raises:
         ExperimentError: unknown name.
     """
     load_all()
-    key = ALIASES.get(name, name)
-    scenario = _REGISTRY.get(key)
+    scenario = _REGISTRY.get(name)
     if scenario is None:
         known = ", ".join(scenario_names())
         raise ExperimentError(f"unknown scenario {name!r}; known: {known}")
@@ -129,7 +125,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def scenario_names() -> List[str]:
-    """Registered names in presentation order (aliases not included)."""
+    """Registered names in presentation order."""
     load_all()
     return [m for m in SCENARIO_MODULES if _REGISTRY.get(m) is not None]
 

@@ -67,7 +67,7 @@ times are simulated units; the comparison targets are the paper's
 crossovers are). Microbenchmarks (Table 3, Figure 5, section 2.2) are
 calibration points and match absolutely.
 
-Regenerate any experiment with ``python -m repro.experiments <name>``.
+Regenerate any experiment with ``python -m repro.experiments run <name>``.
 """
 
 TABLE_HEAD = "| claim | paper | measured |\n|---|---|---|"

@@ -1,7 +1,7 @@
 """RPR007 purity.
 
-``runner.execute_request`` is the process-pool worker target: PR 3's
-parallel runner and the planned serving layer both assume that a request
+``runner.execute_request`` is the process-pool worker target: the
+parallel runner and the multi-run engine both assume that a request
 executed in *any* process yields bit-for-bit the parent's serial result,
 and the content-addressed store assumes the result is a function of the
 request alone (cache-key soundness). Both break the moment anything in

@@ -2,9 +2,9 @@
 
 A module-level dict/list/set written from a function body is per-process
 shared state: ``--jobs N`` worker processes each mutate their own copy
-(silently diverging from the parent), and the planned batched
-multi-world engines would cross-contaminate runs through it. PR 3's
-``experiments.common._CACHE`` was exactly this shape; the sanctioned
+(silently diverging from the parent), and the batched multi-run engine
+would cross-contaminate runs through it. The experiment pipeline's
+original module-level memo dict was exactly this shape; the sanctioned
 patterns are objects owned by an instance (a store, a registry object, a
 session) handed down explicitly, or import-time-only population.
 

@@ -46,7 +46,7 @@ class RunnerStats:
 
     Every cell carries a ``runner=<scope>`` label identifying the owning
     runner instance. Registering the cells by bare name let two runners
-    in one process (the serve layer holds one per worker) publish
+    in one process (a test, or a script driving two pipelines) publish
     indistinguishable ``runner.requested``/``runner.executed`` cells, so
     any aggregated view — ``python -m repro.obs summary``, a metrics
     snapshot — double-counted them with no way to attribute work back to

@@ -2,20 +2,15 @@
 
 A run store maps a :meth:`~repro.sim.runspec.RunRequest.cache_key` to the
 list of :class:`~repro.sim.results.RunResult` the engine produced for that
-request (one per VM). Three backends:
+request (one per VM). Two backends:
 
-* :class:`~repro.runstore.memory.MemoryRunStore` — a per-process dict,
-  the successor of the old ``experiments.common._CACHE`` memo;
+* :class:`~repro.runstore.memory.MemoryRunStore` — a per-process dict;
 * :class:`~repro.runstore.disk.DiskRunStore` — one JSON file per key
   under a ``.runstore/`` directory, surviving across processes and
   invalidated wholesale when :data:`repro.sim.engine.ENGINE_VERSION`
-  bumps;
-* :class:`~repro.runstore.sharded.ShardedDiskRunStore` — the same JSON
-  entries fanned out into hex-prefix shard directories, so many
-  concurrent writer processes (the serving layer's worker pool) never
-  contend on one directory inode.
+  bumps.
 
-All backends count hits and misses so the pipeline CLI can surface cache
+Both backends count hits and misses so the pipeline CLI can surface cache
 effectiveness (the Figure 6 <- Figure 2 and Figure 10 <- Figure 7 run
 sharing is visible as hits).
 """
@@ -23,27 +18,16 @@ sharing is visible as hits).
 from repro.runstore.base import RunStore, StoreStats
 from repro.runstore.disk import DiskRunStore
 from repro.runstore.memory import MemoryRunStore
-from repro.runstore.sharded import ShardedDiskRunStore
-
-#: Spec prefix selecting the sharded on-disk layout (``sharded:DIR``).
-SHARDED_PREFIX = "sharded:"
 
 
-def open_store(spec=None, sharded: bool = False) -> RunStore:
+def open_store(spec=None) -> RunStore:
     """Open a store from a CLI-style spec.
 
     ``None``, ``""`` or ``"memory"`` give a fresh in-memory store; any
-    other string is a directory path for an on-disk store. A
-    ``sharded:DIR`` spec — or ``sharded=True`` — selects the hex-prefix
-    sharded layout instead of the flat one.
+    other string is a directory path for an on-disk store.
     """
-    if isinstance(spec, str) and spec.startswith(SHARDED_PREFIX):
-        spec = spec[len(SHARDED_PREFIX):]
-        sharded = True
     if spec is None or spec == "" or spec == "memory":
         return MemoryRunStore()
-    if sharded:
-        return ShardedDiskRunStore(spec)
     return DiskRunStore(spec)
 
 
@@ -52,7 +36,5 @@ __all__ = [
     "StoreStats",
     "MemoryRunStore",
     "DiskRunStore",
-    "ShardedDiskRunStore",
-    "SHARDED_PREFIX",
     "open_store",
 ]

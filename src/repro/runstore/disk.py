@@ -4,7 +4,7 @@ Layout of the store directory (``.runstore/`` by convention)::
 
     .runstore/
         engine_version          # text file, the version that wrote the runs
-        engine_version.lock     # advisory-lock file guarding the purge
+        engine_version.lock     # advisory-lock file (staging, sweep, purge)
         <sha256>.json           # {"engine_version", "request", "results"}
 
 Invalidation is explicit and wholesale: when the directory was written by
@@ -17,8 +17,9 @@ Writes are atomic (unique temp file + rename) so a run killed mid-write
 never leaves a half-entry that would poison later invocations, and two
 processes saving the same key concurrently (``--jobs N`` workers, or two
 invocations sharing one store) cannot tear each other's temp file — each
-write stages through its own ``mkstemp`` name. Temp files orphaned by a
-crash (``*.json.tmp``) are swept on open and on ``clear()``; malformed
+write stages through its own ``mkstemp`` name, holding the store's lock
+shared. Temp files orphaned by a crash (``*.json.tmp``) are swept on
+open, under the lock held exclusively, and on ``clear()``; malformed
 entries are treated as misses and removed, but a *transient* read
 failure (EACCES, EMFILE under fd pressure) is a miss that keeps the
 entry — the file may read fine on the next attempt.
@@ -39,7 +40,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 try:  # pragma: no cover - always present on the POSIX hosts we target
     import fcntl
@@ -53,6 +54,11 @@ from repro.sim.runspec import RunRequest
 
 _VERSION_FILE = "engine_version"
 _LOCK_FILE = "engine_version.lock"
+#: Glob patterns of the files the store writes: entries, staged entry
+#: writes, and staged version writes (only ever created under the lock).
+_ENTRIES = "*.json"
+_ENTRY_TMPS = "*.json.tmp"
+_VERSION_TMPS = f"{_VERSION_FILE}.*.tmp"
 
 
 class DiskRunStore(RunStore):
@@ -79,12 +85,19 @@ class DiskRunStore(RunStore):
             return None
 
     @contextmanager
-    def _version_lock(self) -> Iterator[None]:
-        """Advisory inter-process lock serializing the stale-store purge."""
+    def _lock(self, shared: bool = False) -> Iterator[None]:
+        """Advisory inter-process lock on the store directory.
+
+        Saves hold it shared while a staged entry exists; the version
+        write, the purge and the temp sweep hold it exclusively, so they
+        never see another writer's staged file.
+        """
         handle = open(self.root / _LOCK_FILE, "a")
         try:
             if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                fcntl.flock(
+                    handle.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX
+                )
             try:
                 yield
             finally:
@@ -124,19 +137,16 @@ class DiskRunStore(RunStore):
         """
         if self._read_version() == ENGINE_VERSION:
             return 0
-        with self._version_lock():
+        with self._lock():
             return self._purge_stale_locked()
 
     def _purge_stale_locked(self) -> int:
         """Drop every entry and rewrite the version (lock held)."""
         if self._read_version() == ENGINE_VERSION:
             return 0  # another process migrated the store while we waited
-        dropped = 0
-        for entry in self._entry_files():
-            self._discard(entry)
-            dropped += 1
-        for stale in self._tmp_files():
-            self._discard(stale)
+        dropped = self._discard_all(_ENTRIES)
+        self._discard_all(_ENTRY_TMPS)
+        self._discard_all(_VERSION_TMPS)
         self._write_version()
         return dropped
 
@@ -148,69 +158,36 @@ class DiskRunStore(RunStore):
 
         Entry and version files only ever appear via an atomic rename, so
         a temp file nobody is writing belongs to a writer that died
-        mid-save and would otherwise be ignored forever. Version temps
-        are only written under the version lock, so they are swept under
-        it too: a concurrent opener that holds the lock may be between
-        ``mkstemp`` and ``os.replace`` in :meth:`_write_version`, and its
-        staged file is not litter. The lock is taken only when there is
-        something to sweep, so opening a clean store stays lock-free.
+        mid-save and would otherwise be ignored forever. Every temp file
+        is staged under the lock (shared for entries, exclusive for the
+        version), so the sweep takes it exclusively: a concurrent writer
+        between ``mkstemp`` and ``os.replace`` still holds its lock, and
+        its staged file is not litter (sweeping it unlocked let several
+        openers of one store delete a live writer's entry). The lock is
+        taken only when there is something to sweep, so opening a clean
+        store stays lock-free.
         """
-        removed = 0
-        for stale in self._tmp_files_on_open():
-            self._discard(stale)
-            removed += 1
-        if any(self._version_tmp_files()):
-            with self._version_lock():
-                for stale in self._version_tmp_files():
-                    self._discard(stale)
-                    removed += 1
-        return removed
-
-    # ------------------------------------------------------------------
-    # Directory layout (overridden by the sharded store)
-
-    def _entry_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _entry_files(self) -> Iterable[Path]:
-        """Every entry file currently in the store."""
-        return self.root.glob("*.json")
-
-    def _tmp_files(self) -> Iterable[Path]:
-        """Every staged-write temp file (crash litter candidates)."""
-        yield from self.root.glob("*.json.tmp")
-        yield from self._version_tmp_files()
-
-    def _version_tmp_files(self) -> Iterable[Path]:
-        """Staged version-file writes (only ever created under the lock)."""
-        return self.root.glob(f"{_VERSION_FILE}.*.tmp")
-
-    def _tmp_files_on_open(self) -> Iterable[Path]:
-        """The entry temp files it is safe to sweep without a lock on open.
-
-        The flat store is written by one process per open, so any staged
-        entry is litter by the time a new open sees it. Layouts with
-        concurrent writers (the sharded store) narrow this: an opener
-        racing a live writer must not sweep the writer's in-progress
-        staging file out from under its rename. Version temps are swept
-        separately, under the version lock (:meth:`_sweep_stale_tmp`).
-        """
-        return self.root.glob("*.json.tmp")
+        if not any(self.root.glob(_ENTRY_TMPS)) and not any(
+            self.root.glob(_VERSION_TMPS)
+        ):
+            return 0
+        with self._lock():
+            return self._discard_all(_ENTRY_TMPS) + self._discard_all(_VERSION_TMPS)
 
     # ------------------------------------------------------------------
     # Backend interface
 
     def _load(self, key: str) -> Optional[List[RunResult]]:
-        path = self._entry_path(key)
+        path = self.root / f"{key}.json"
         try:
             text = path.read_text()
         except FileNotFoundError:
             return None
         except OSError:
-            # Transient I/O failure (EACCES, EMFILE under the serve
-            # layer's fd pressure): a miss, but the entry stays — it may
-            # well read fine on the next attempt. Only decode/shape
-            # errors below prove the file itself is bad.
+            # Transient I/O failure (EACCES, EMFILE under fd pressure):
+            # a miss, but the entry stays — it may well read fine on the
+            # next attempt. Only decode/shape errors below prove the file
+            # itself is bad.
             return None
         try:
             payload = json.loads(text)
@@ -233,50 +210,62 @@ class DiskRunStore(RunStore):
         except OSError:
             pass
 
+    def _discard_all(self, pattern: str) -> int:
+        """Discard every file under the root matching ``pattern``."""
+        count = 0
+        for path in self.root.glob(pattern):
+            self._discard(path)
+            count += 1
+        return count
+
     def _save(self, key: str, results: List[RunResult], request: Optional[RunRequest]) -> None:
         payload = {
             "engine_version": ENGINE_VERSION,
             "request": None if request is None else request.to_json(),
             "results": [r.to_json() for r in results],
         }
-        path = self._entry_path(key)
+        path = self.root / f"{key}.json"
         # A per-writer temp name: concurrent saves of the same key each
         # stage their own file, so the last rename wins with a complete
         # entry (a shared `<key>.json.tmp` let one writer rename — and
         # thereby delete — another's half-written temp file). The prefix
         # keeps the key visible for debugging; the suffix makes orphans
-        # match the `*.json.tmp` sweep. Staging in the entry's own
-        # directory keeps the rename atomic (same filesystem, and the
-        # sharded layout stages inside the shard).
+        # match the `*.json.tmp` sweep. Staging in the store directory
+        # keeps the rename atomic (same filesystem).
         text = json.dumps(payload, sort_keys=True)
-        for attempt in (0, 1):
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f"{key}.", suffix=".json.tmp"
-            )
-            tmp = Path(tmp_name)
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(tmp, path)
-                return
-            except FileNotFoundError:
-                # A wholesale purge (engine-version bump) swept our
-                # staged file between write and rename. Restage once;
-                # losing the race twice means the store is being cleared
-                # out from under us and the entry is forfeit anyway.
-                if attempt == 1:
+        # The shared lock keeps the sweep and the purge (exclusive) off
+        # the staged file until it is renamed into place.
+        with self._lock(shared=True):
+            for attempt in (0, 1):
+                fd, tmp_name = tempfile.mkstemp(
+                    dir=self.root, prefix=f"{key}.", suffix=".json.tmp"
+                )
+                tmp = Path(tmp_name)
+                try:
+                    with os.fdopen(fd, "w") as handle:
+                        handle.write(text)
+                    os.replace(tmp, path)
                     return
-            finally:
-                if tmp.exists():  # the write or rename failed mid-way
-                    self._discard(tmp)
+                except FileNotFoundError:
+                    # Something that does not take the lock (``clear()``,
+                    # or any sweep on a host without ``fcntl``) removed
+                    # our staged file between write and rename. Restage
+                    # once; losing the race twice means the store is
+                    # being cleared out from under us and the entry is
+                    # forfeit anyway.
+                    if attempt == 1:
+                        return
+                finally:
+                    if tmp.exists():  # the write or rename failed mid-way
+                        self._discard(tmp)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_files())
+        return sum(1 for _ in self.root.glob(_ENTRIES))
 
     def clear(self) -> None:
-        for entry in self._entry_files():
-            self._discard(entry)
-        for stale in self._tmp_files():  # full sweep: clear is quiescent
-            self._discard(stale)
+        self._discard_all(_ENTRIES)
+        # Full sweep: clear is quiescent by contract.
+        self._discard_all(_ENTRY_TMPS)
+        self._discard_all(_VERSION_TMPS)
         self.reset_counters()
         self._invalidated = 0

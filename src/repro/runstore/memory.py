@@ -1,4 +1,4 @@
-"""The in-process run store (the old per-process memo dict, upgraded)."""
+"""The in-process run store: a dict keyed by request cache hash."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ from repro.sim.runspec import RunRequest
 class MemoryRunStore(RunStore):
     """Dict-backed store; returns the stored objects themselves.
 
-    ``data`` is deliberately a plain public dict: ``experiments.common``
-    aliases it as the legacy ``_CACHE`` so tests that inspect the memo
-    (key sets, subset relations) keep working, and ``clear()`` empties it
-    *in place* so those aliases stay live.
+    ``data`` is a plain public dict so callers (tests checking which runs
+    two scenarios share) can inspect the key set; ``clear()`` empties it
+    *in place*, so a held reference stays live.
     """
 
     def __init__(self) -> None:

@@ -10,6 +10,7 @@ the views never drift.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -162,7 +163,9 @@ class PlacementTracker:
     whole consecutively-keyed ranges (:meth:`track_range`, the batch init
     path) — a range covers a segment without materialising one dict entry
     per page, and the batch observer hooks resolve against ranges with
-    array masks instead of per-key lookups.
+    array masks instead of per-key lookups. Ranges never overlap: native
+    keys are vpfns of disjoint VMAs, and Xen ranges come from the guest
+    allocator's bump pointer, which never hands out a gpfn twice.
 
     Args:
         node_of_frame: maps a machine frame to its NUMA node.
@@ -172,14 +175,14 @@ class PlacementTracker:
     node_of_frame: object  # Callable[[int], int]
     nodes_of_frames: Optional[object] = None  # Callable[[ndarray], ndarray]
     _pages: Dict[int, Tuple[SegmentPlacement, int]] = field(default_factory=dict)
-    #: (start_key, count, placement, idx0) per registered range.
+    #: (start_key, count, placement, idx0) per registered range, sorted
+    #: by start key.
     _ranges: list = field(default_factory=list)
+    #: The ranges' start keys, in the same order (bisected by lookups).
+    _starts: list = field(default_factory=list)
     #: Keys untracked out of a range (range membership is implicit, so a
     #: removal needs an explicit tombstone).
     _dead: set = field(default_factory=set)
-    #: Last range a scalar lookup resolved through — sequential touches
-    #: hit the same segment, making scalar lookups O(1) despite ranges.
-    _last_range: Optional[tuple] = None
 
     def track(self, key: int, placement: SegmentPlacement, idx: int) -> None:
         """Start tracking page ``key`` as ``placement[idx]``."""
@@ -193,9 +196,22 @@ class PlacementTracker:
         """Track ``count`` consecutive keys as ``placement[idx0:idx0+count]``.
 
         Equivalent to ``count`` :meth:`track` calls for
-        ``start_key + i -> placement[idx0 + i]``, registered in O(1).
+        ``start_key + i -> placement[idx0 + i]``, registered without
+        per-key work.
+
+        Raises:
+            ReproError: the range overlaps one already registered.
         """
-        self._ranges.append((int(start_key), int(count), placement, int(idx0)))
+        start, count = int(start_key), int(count)
+        pos = bisect.bisect_right(self._starts, start)
+        if (pos and self._starts[pos - 1] + self._ranges[pos - 1][1] > start) or (
+            pos < len(self._starts) and self._starts[pos] < start + count
+        ):
+            raise ReproError(
+                f"key range [{start}, {start + count}) overlaps a tracked range"
+            )
+        self._starts.insert(pos, start)
+        self._ranges.insert(pos, (start, count, placement, int(idx0)))
 
     def untrack(self, key: int) -> None:
         """Stop tracking ``key`` (released or torn down)."""
@@ -209,13 +225,10 @@ class PlacementTracker:
             return hit
         if key in self._dead:
             return None
-        cached = self._last_range
-        if cached is not None and cached[0] <= key < cached[0] + cached[1]:
-            return (cached[2], cached[3] + (key - cached[0]))
-        for entry in self._ranges:
-            start, count, placement, idx0 = entry
-            if start <= key < start + count:
-                self._last_range = entry
+        pos = bisect.bisect_right(self._starts, key) - 1
+        if pos >= 0:
+            start, count, placement, idx0 = self._ranges[pos]
+            if key < start + count:
                 return (placement, idx0 + (key - start))
         return None
 

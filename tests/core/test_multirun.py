@@ -22,7 +22,7 @@ from repro.core.multirun import (
 from repro.errors import MultiRunError
 from repro.runner import Runner, execute_request
 from repro.runner.exec import build_world
-from repro.sim.engine import run_world
+from repro.sim.engine import CongestionSolver, run_world
 from repro.sim.runspec import RunRequest, VmRequest
 
 #: Coarse and short: ~10 epochs per run instead of ~40.
@@ -258,3 +258,78 @@ class TestMetricsAttribution:
                 assert want.metrics == got.metrics
                 # The snapshot is real, not a stub: it carries counters.
                 assert want.metrics
+
+
+#: A 16-world consolidation sweep: four 6-vCPU VMs per world, app mixes
+#: and placement policies cycling, one seed per world, short epochs (many
+#: of them, as a fixed-machine parameter sweep has) and coarse pages.
+SWEEP_WORLDS = 16
+SWEEP_APP_MIXES = (
+    ("cg.C", "sp.C", "swaptions", "streamcluster"),
+    ("ep.D", "ft.C", "lu.C", "cg.C"),
+    ("swaptions", "ep.D", "sp.C", "ft.C"),
+    ("lu.C", "streamcluster", "cg.C", "swaptions"),
+)
+SWEEP_POLICIES = ("round-4k", "first-touch", "round-1g")
+
+
+def sweep_requests(config, num_worlds):
+    """The sweep's requests: seeded, group-compatible, all distinct."""
+    return [
+        RunRequest(
+            environment="xen",
+            features="Xen",
+            vms=tuple(
+                VmRequest(
+                    app=SWEEP_APP_MIXES[i % len(SWEEP_APP_MIXES)][v],
+                    policy=SWEEP_POLICIES[i % len(SWEEP_POLICIES)],
+                    num_vcpus=6,
+                )
+                for v in range(len(SWEEP_APP_MIXES[0]))
+            ),
+            config=SimConfig(
+                rng_seed=config.rng_seed + i,
+                epoch_seconds=0.25,
+                page_scale=4096,
+            ),
+        )
+        for i in range(num_worlds)
+    ]
+
+
+class TestSweepSolverBatching:
+    @staticmethod
+    def _latency_calls(monkeypatch, simulate):
+        """Latency-kernel calls (single-world and stacked) ``simulate``
+        makes; each is one solver iteration for one world or one group."""
+        calls = {"n": 0}
+        for name in ("latency_matrix", "latency_matrix_many"):
+            original = getattr(CongestionSolver, name)
+
+            def counted(self, rho_c, rho_l, _original=original):
+                calls["n"] += 1
+                return _original(self, rho_c, rho_l)
+
+            monkeypatch.setattr(CongestionSolver, name, counted)
+        results = simulate()
+        monkeypatch.undo()
+        return calls["n"], results
+
+    def test_batched_sweep_batches_the_solver(self, monkeypatch):
+        """The 16-world x 4-VM sweep, once, untimed: the batched engine
+        reproduces the serial reports byte for byte and issues at most a
+        third of the serial path's latency solves. A count, not a
+        wall-clock ratio, so the gate neither depends on the host nor
+        shrinks with every serial speed-up."""
+        requests = sweep_requests(SimConfig(), SWEEP_WORLDS)
+        batched_worlds = [build_world(r) for r in requests]
+        serial_worlds = [build_world(r) for r in requests]
+        batched_calls, batched = self._latency_calls(
+            monkeypatch, lambda: run_worlds(batched_worlds)
+        )
+        serial_calls, serial = self._latency_calls(
+            monkeypatch, lambda: [run_world(w) for w in serial_worlds]
+        )
+        assert len(batched) == SWEEP_WORLDS == 16
+        assert dumps(batched) == dumps(serial)
+        assert serial_calls >= 3 * batched_calls

@@ -9,15 +9,15 @@ from repro.experiments import (
     fig2,
     fig5,
     fig6,
-    fig7,
     fig10,
     io_micro,
+    registry,
     table1,
     table2,
     table3,
     table4,
 )
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
 
 #: A small, fast subset covering the three imbalance classes.
 SUBSET = ["swaptions", "bodytrack", "ep.D"]
@@ -77,11 +77,12 @@ class TestSubsetExperiments:
             assert row.best_xen
 
     def test_fig6_fig10_share_runs(self):
+        store = common.default_runner().store
         fig6.run(apps=["swaptions"], verbose=False)
-        before = dict(common._CACHE)
+        before = set(store.data)
         fig10.run(apps=["swaptions"], verbose=False)
-        # fig10 reuses fig6's Linux runs (cache only grows by Xen sweeps).
-        assert set(before).issubset(set(common._CACHE))
+        # fig10 reuses fig6's Linux runs (the store only grows by Xen sweeps).
+        assert before.issubset(set(store.data))
 
     def test_batching_microbench(self):
         result = batching.run(verbose=False)
@@ -89,24 +90,28 @@ class TestSubsetExperiments:
         assert abs(result.invalidation_share - 0.875) < 0.02
 
 
+def _resolve_one(request):
+    return common.default_runner().resolve([request]).one(request)
+
+
 class TestRunnersAndCache:
-    def test_linux_run_memoised(self):
-        app = common.select_apps(["swaptions"])[0]
-        a = common.linux_run(app, "first-touch")
-        b = common.linux_run(app, "first-touch")
+    def test_linux_request_memoised(self):
+        runner = common.default_runner()
+        request = common.linux_request("swaptions", "first-touch")
+        a = runner.resolve([request]).one(request)
+        b = runner.resolve([request]).one(request)
         assert a is b
+        assert runner.stats.executed == 1
 
     def test_linux_numa_picks_minimum(self):
-        app = common.select_apps(["swaptions"])[0]
-        best, label = common.linux_numa_run(app)
+        best, label = common.best_linux_numa(_resolve_one, "swaptions")
         for policy, carrefour in common.LINUX_COMBOS:
-            other = common.linux_run(app, policy, carrefour)
+            other = _resolve_one(common.linux_request("swaptions", policy, carrefour))
             assert best.completion_seconds <= other.completion_seconds + 1e-9
         assert label
 
     def test_xen_numa_includes_round_1g(self):
-        app = common.select_apps(["swaptions"])[0]
-        best, label = common.xen_numa_run(app)
+        best, label = common.best_xen_numa(_resolve_one, "swaptions")
         assert label in {s.label for s in common.XEN_POLICIES_ALL}
 
     def test_select_apps_default_is_29(self):
@@ -120,11 +125,15 @@ class TestCli:
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 1
+        assert main(["run", "fig99"]) == 1
 
-    def test_known_names_registered(self):
-        for name in ("fig1", "table1", "fig7", "batching", "io"):
-            assert name in EXPERIMENTS
+    def test_known_names_registered(self, capsys):
+        names = registry.scenario_names()
+        for name in ("fig1", "table1", "fig7", "batching", "io_micro"):
+            assert name in names
+        assert main([]) == 0
+        assert ", ".join(names) in capsys.readouterr().out
 
     def test_cli_runs_subset(self, capsys):
-        assert main(["table3"]) == 0
+        assert main(["run", "table3"]) == 0
         assert "Table 3" in capsys.readouterr().out

@@ -16,8 +16,10 @@ class TestRegistry:
         names = registry.scenario_names()
         assert list(names) == list(registry.SCENARIO_MODULES)
 
-    def test_alias_io_resolves_to_io_micro(self):
-        assert registry.get_scenario("io").name == "io_micro"
+    def test_io_micro_has_no_short_alias(self):
+        assert registry.get_scenario("io_micro").name == "io_micro"
+        with pytest.raises(ExperimentError):
+            registry.get_scenario("io")
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(ExperimentError):

@@ -51,7 +51,7 @@ class TestDedupAndStore:
 
     def test_two_runners_publish_distinguishable_stats(self):
         # Regression: stats cells used to be registered by bare name, so
-        # two runners in one process (the serve layer holds several)
+        # two runners in one process (a script may hold several)
         # published indistinguishable runner.* cells and every aggregated
         # view double-counted them. Each cell now carries a runner label.
         with obs.session() as sess:

@@ -1,28 +1,47 @@
-"""Run store behaviour: counters, persistence, invalidation."""
+"""Run store behaviour: counters, persistence, invalidation, concurrency.
 
+The stress tests fork real writer processes (several invocations, or a
+parallel runner, saving into one store directory). Worker functions live
+at module level so the pool can address them.
+"""
+
+import fcntl
+import hashlib
 import json
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.runstore import DiskRunStore, MemoryRunStore, open_store
+from repro.sim.engine import ENGINE_VERSION
 from repro.sim.results import RunResult
 from repro.sim.runspec import RunRequest, VmRequest
 
 KEY = "a" * 64
 OTHER = "b" * 64
 
+WRITERS = 8
+ENTRIES_PER_WRITER = 25
+SHARED_KEY = hashlib.sha256(b"shared").hexdigest()
 
-def _results():
+
+def _results(marker=12.5):
     return [
         RunResult(
             app="swaptions",
             environment="linux",
             policy="First-Touch",
-            completion_seconds=12.5,
+            completion_seconds=marker,
             epochs=4,
             stats={"faults": 7.0},
         )
     ]
+
+
+def _key(writer, index):
+    return hashlib.sha256(f"{writer}-{index}".encode()).hexdigest()
 
 
 def _request():
@@ -51,8 +70,8 @@ class TestMemoryStore:
         assert store.stats().misses == 0
 
     def test_clear_keeps_dict_aliases_alive(self):
-        # experiments.common._CACHE aliases this dict; clear() must empty
-        # it in place, never rebind it.
+        # Callers may hold a reference to ``data``; clear() must empty it
+        # in place, never rebind it.
         store = MemoryRunStore()
         alias = store.data
         store.put(KEY, _results())
@@ -172,6 +191,39 @@ class TestDiskStoreCrashSafety:
         assert not litter.exists()
         assert store.get(KEY) is not None  # real entries untouched
 
+    def test_open_sweep_spares_a_live_writers_staged_entry(self, tmp_path):
+        """Regression: the open-time sweep removed every ``*.json.tmp``
+        without a lock, so a store opened while another process was
+        between ``mkstemp`` and ``os.replace`` deleted that writer's
+        staged entry (and a second opener its restage: a lost entry).
+        A writer stages under the shared lock; the sweep must wait."""
+        root = tmp_path / "rs"
+        DiskRunStore(root)
+        staged = root / f"{KEY}.inflight.json.tmp"
+        errors = []
+
+        def open_store_in_thread():
+            try:
+                DiskRunStore(root)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        # This fd plays a writer inside _save: shared lock held, the
+        # entry staged but not yet renamed into place.
+        with open(root / "engine_version.lock", "a") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_SH)
+            staged.write_text(json.dumps({"engine_version": ENGINE_VERSION}))
+            opener = threading.Thread(target=open_store_in_thread)
+            opener.start()
+            opener.join(timeout=1.0)
+            assert staged.exists(), "staged entry swept under a live writer"
+            os.replace(staged, root / f"{KEY}.json")
+            fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+        opener.join(timeout=30)
+        assert not opener.is_alive()
+        assert errors == []
+        assert (root / f"{KEY}.json").exists()
+
     def test_stale_tmp_swept_on_clear(self, tmp_path):
         root = tmp_path / "rs"
         store = DiskRunStore(root)
@@ -266,14 +318,53 @@ class TestVersionCheckConcurrency:
         DiskRunStore(root)
         assert locked_during_purge == [True]
 
+    def test_version_tmp_litter_swept_on_open(self, tmp_path):
+        root = tmp_path / "rs"
+        DiskRunStore(root)
+        litter = root / "engine_version.999.tmp"
+        litter.write_text("half-written version file")
+        DiskRunStore(root)
+        assert not litter.exists()
+
+    def test_version_tmp_sweep_waits_for_the_version_lock(self, tmp_path):
+        """An opener must not sweep the version temp of another opener
+        that holds the version lock and is between ``mkstemp`` and
+        ``os.replace`` — the rename would raise FileNotFoundError out of
+        that opener's constructor."""
+        root = tmp_path / "rs"
+        DiskRunStore(root)
+        staged = root / "engine_version.inflight.tmp"
+        errors = []
+
+        def open_store_in_thread():
+            try:
+                DiskRunStore(root)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        # This fd plays the opener inside _write_version: lock held, the
+        # new version staged but not yet renamed into place.
+        with open(root / "engine_version.lock", "a") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+            staged.write_text(ENGINE_VERSION + "\n")
+            opener = threading.Thread(target=open_store_in_thread)
+            opener.start()
+            opener.join(timeout=1.0)
+            assert staged.exists(), "version temp swept without the lock"
+            os.replace(staged, root / "engine_version")
+            fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+        opener.join(timeout=30)
+        assert not opener.is_alive()
+        assert errors == []
+        assert list(root.glob("engine_version.*.tmp")) == []
+
 
 class TestTransientReadErrors:
     """Satellite regression: only provably-bad entries may be discarded.
 
     The original ``_load`` treated *any* ``OSError`` as a corrupt entry
     and unlinked the file — so a transient EACCES/EMFILE (routine under
-    the serve layer's fd pressure) silently destroyed a perfectly good
-    cached run.
+    fd pressure) silently destroyed a perfectly good cached run.
     """
 
     def test_transient_read_error_is_miss_without_unlink(
@@ -317,3 +408,89 @@ class TestOpenStore:
         store = open_store(str(tmp_path / "rs"))
         assert isinstance(store, DiskRunStore)
         assert (tmp_path / "rs").is_dir()
+
+
+# ----------------------------------------------------------------------
+# Multi-process stress (module-level workers for the process pool)
+
+
+def _stress_writer(args):
+    """One writer process: distinct keys plus contended same-key saves."""
+    root, writer = args
+    store = DiskRunStore(root)
+    for index in range(ENTRIES_PER_WRITER):
+        store.put(_key(writer, index), _results(marker=float(writer)))
+        # Every writer also hammers one shared key every iteration —
+        # concurrent same-key renames must never tear.
+        store.put(SHARED_KEY, _results(marker=float(writer)))
+    return writer
+
+
+def _race_opener(args):
+    """Open a (possibly stale) store, then immediately write and read."""
+    root, writer = args
+    store = DiskRunStore(root)
+    key = _key(writer, 0)
+    store.put(key, _results(marker=float(writer)))
+    return (writer, store.get(key) == _results(marker=float(writer)))
+
+
+class TestConcurrentWriters:
+    def test_stress_no_lost_or_torn_entries(self, tmp_path):
+        root = str(tmp_path / "rs")
+        DiskRunStore(root)  # create + write the version file once
+        with ProcessPoolExecutor(max_workers=WRITERS) as pool:
+            done = list(pool.map(_stress_writer, [(root, w) for w in range(WRITERS)]))
+        assert sorted(done) == list(range(WRITERS))
+        store = DiskRunStore(root)
+        # Every distinct entry present and intact.
+        assert len(store) == WRITERS * ENTRIES_PER_WRITER + 1
+        for writer in range(WRITERS):
+            for index in range(ENTRIES_PER_WRITER):
+                loaded = store.get(_key(writer, index))
+                assert loaded == _results(marker=float(writer))
+        # The contended key holds one complete entry from some writer.
+        shared = store.get(SHARED_KEY)
+        assert shared is not None
+        assert shared[0].completion_seconds in {float(w) for w in range(WRITERS)}
+        # No crash litter, correct counters.
+        assert list((tmp_path / "rs").glob("*.json.tmp")) == []
+        stats = store.stats()
+        assert stats.hits == WRITERS * ENTRIES_PER_WRITER + 1
+        assert stats.misses == 0
+
+    def test_concurrent_stale_openers_purge_once(self, tmp_path):
+        root = str(tmp_path / "rs")
+        seeded = DiskRunStore(root)
+        for index in range(8):
+            seeded.put(_key(99, index), _results())
+        (tmp_path / "rs" / "engine_version").write_text("0\n")
+        # Eight processes race to open the stale store; each one then
+        # immediately saves a fresh entry. Without the purge lock a slow
+        # opener's wholesale purge deletes entries a fast opener already
+        # re-saved after migrating the store.
+        with ProcessPoolExecutor(max_workers=WRITERS) as pool:
+            outcomes = list(
+                pool.map(_race_opener, [(root, w) for w in range(WRITERS)])
+            )
+        assert all(ok for _, ok in outcomes)
+        final = DiskRunStore(root)
+        assert final.invalidated_entries() == 0  # already migrated
+        for writer in range(WRITERS):
+            assert final.get(_key(writer, 0)) == _results(marker=float(writer))
+        for index in range(8):  # the stale seed entries are gone
+            assert final.get(_key(99, index)) is None
+        version = (tmp_path / "rs" / "engine_version").read_text().strip()
+        assert version == ENGINE_VERSION
+
+    def test_entry_payloads_are_valid_json_after_stress(self, tmp_path):
+        root = tmp_path / "rs"
+        DiskRunStore(root)
+        with ProcessPoolExecutor(max_workers=WRITERS) as pool:
+            list(pool.map(_stress_writer, [(str(root), w) for w in range(WRITERS)]))
+        entries = list(root.glob("*.json"))
+        assert len(entries) == WRITERS * ENTRIES_PER_WRITER + 1
+        for path in entries:
+            payload = json.loads(path.read_text())
+            assert payload["engine_version"] == ENGINE_VERSION
+            assert isinstance(payload["results"], list)

@@ -149,3 +149,66 @@ class TestLinuxHooks:
             )
         assert sides[0] == sides[1]
         assert sides[0][0][0] == [0, 2, 1, 3]
+
+
+def _scan(tracker, key):
+    """The linear lookup the bisected one replaces: dict first, then
+    tombstones, then the first registered range containing ``key``."""
+    hit = tracker._pages.get(key)
+    if hit is not None:
+        return hit
+    if key in tracker._dead:
+        return None
+    for start, count, placement, idx0 in tracker._ranges:
+        if start <= key < start + count:
+            return (placement, idx0 + (key - start))
+    return None
+
+
+class TestRangeLookup:
+    def test_bisected_lookup_matches_the_scan_for_every_key(self):
+        tracker = PlacementTracker(node_of_frame=lambda mfn: 0)
+        a, b, c, d = (SegmentPlacement(8, 4) for _ in range(4))
+        # Registered out of key order, with gaps between every pair and
+        # one range starting mid-placement (idx0 > 0).
+        tracker.track_range(300, 5, c, 0)
+        tracker.track_range(100, 8, a, 0)
+        tracker.track_range(500, 3, d, 2)
+        tracker.track_range(200, 6, b, 1)
+        assert [r[0] for r in tracker._ranges] == [100, 200, 300, 500]
+        tracker.untrack(103)  # tombstone inside a range
+        tracker.untrack(502)  # tombstone at a range's last key
+        single = SegmentPlacement(2, 4)
+        tracker.track(204, single, 1)  # dict key inside a range
+        tracker.track(103, single, 0)  # re-tracked after its tombstone
+        tracker.track(400, single, 0)  # dict key in a gap
+        for key in range(0, 600):
+            assert tracker.tracked(key) == _scan(tracker, key), key
+        assert tracker.tracked(99) is None  # before the first range
+        assert tracker.tracked(503) is None  # after the last
+        assert tracker.tracked(108) is None  # in a gap
+        assert tracker.tracked(100) == (a, 0)
+        assert tracker.tracked(107) == (a, 7)
+        assert tracker.tracked(103) == (single, 0)
+        assert tracker.tracked(204) == (single, 1)
+        assert tracker.tracked(205) == (b, 6)
+        assert tracker.tracked(500) == (d, 2)
+        assert tracker.tracked(502) is None
+        tracker.untrack(204)
+        assert tracker.tracked(204) is None
+
+    @pytest.mark.parametrize("start,count", [(100, 1), (96, 5), (107, 10), (90, 30)])
+    def test_overlapping_range_rejected(self, start, count):
+        tracker = PlacementTracker(node_of_frame=lambda mfn: 0)
+        tracker.track_range(100, 8, SegmentPlacement(8, 4), 0)
+        with pytest.raises(ReproError, match="overlaps"):
+            tracker.track_range(start, count, SegmentPlacement(count, 4), 0)
+        assert len(tracker._ranges) == 1
+
+    def test_adjacent_ranges_accepted(self):
+        tracker = PlacementTracker(node_of_frame=lambda mfn: 0)
+        low, high = SegmentPlacement(4, 4), SegmentPlacement(4, 4)
+        tracker.track_range(104, 4, high, 0)
+        tracker.track_range(100, 4, low, 0)
+        assert tracker.tracked(103) == (low, 3)
+        assert tracker.tracked(104) == (high, 0)
