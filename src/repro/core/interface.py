@@ -108,16 +108,10 @@ class InternalInterface:
         """Bulk :meth:`invalidate_page` over a gpfn array.
 
         Returns how many entries were actually invalidated (already
-        invalid entries are skipped, exactly like the scalar loop). Falls
-        back to the per-page loop when a sanitizer is attached so traps
-        keep their scalar ordering.
+        invalid entries and repeats are skipped, exactly like the scalar
+        loop). One ``invalidate_many`` and one ``free_pages`` do the work,
+        sanitizer attached or not.
         """
-        if domain.p2m.sanitizer is not None:
-            return sum(
-                1
-                for gpfn in np.asarray(gpfns, dtype=np.int64).tolist()
-                if self.invalidate_page(domain, gpfn)
-            )
         _, mfns = domain.p2m.invalidate_many(gpfns)
         if mfns.size:
             self.allocator.free_pages(mfns)

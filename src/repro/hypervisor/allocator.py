@@ -153,27 +153,14 @@ class XenHeapAllocator:
 
     def depopulate(self, domain: Domain) -> int:
         """Free every frame of the domain (teardown). Returns frames freed."""
-        p2m = domain.p2m
-        if p2m.sanitizer is None and self.machine.memory.sanitizer is None:
-            gpfns = np.arange(
-                domain.gpfn_range().start,
-                domain.gpfn_range().stop,
-                dtype=np.int64,
-            )
-            mfns = p2m.remove_many(gpfns)
-            self.machine.memory.free_frames_many(mfns)
-            domain.built = False
-            self._trace_populate("allocator.depopulate", domain, int(mfns.size))
-            return int(mfns.size)
-        freed = 0
-        for gpfn in list(domain.gpfn_range()):
-            mfn = p2m.remove(gpfn)
-            if mfn is not None:
-                self.machine.memory.free_frames(mfn, 1)
-                freed += 1
+        gpfn_range = domain.gpfn_range()
+        mfns = domain.p2m.remove_many(
+            np.arange(gpfn_range.start, gpfn_range.stop, dtype=np.int64)
+        )
+        self.machine.memory.free_frames_many(mfns)
         domain.built = False
-        self._trace_populate("allocator.depopulate", domain, freed)
-        return freed
+        self._trace_populate("allocator.depopulate", domain, int(mfns.size))
+        return int(mfns.size)
 
     # ------------------------------------------------------------------
     # Page-level primitives (used by policies)
@@ -209,12 +196,6 @@ class XenHeapAllocator:
         memory = self.machine.memory
         if count < 1:
             return np.empty(0, dtype=np.int64)
-        if memory.sanitizer is not None:
-            return np.fromiter(
-                (self.alloc_page_on(node) for _ in range(count)),
-                dtype=np.int64,
-                count=count,
-            )
         out = np.empty(count, dtype=np.int64)
         filled = 0
         num = self.machine.num_nodes
@@ -234,10 +215,6 @@ class XenHeapAllocator:
 
     def free_pages(self, mfns: Union[Sequence[int], np.ndarray]) -> None:
         """Return a batch of single frames to the heap."""
-        if self.machine.memory.sanitizer is not None:
-            for mfn in np.asarray(mfns, dtype=np.int64).tolist():
-                self.free_page(mfn)
-            return
         self.machine.memory.free_frames_many(mfns)
 
     # ------------------------------------------------------------------
@@ -249,13 +226,6 @@ class XenHeapAllocator:
         if count < 1:
             return gpfn
         memory = self.machine.memory
-        if domain.p2m.sanitizer is not None or memory.sanitizer is not None:
-            for _ in range(count):
-                node = rr.next()
-                mfn = self.alloc_page_on(node)
-                domain.p2m.set_entry(gpfn, mfn)
-                gpfn += 1
-            return gpfn
         pattern = np.asarray(rr.next_many(count), dtype=np.int64)
         node_counts = np.bincount(pattern, minlength=self.machine.num_nodes)
         if all(
@@ -298,14 +268,10 @@ class XenHeapAllocator:
                 if mfn is None:
                     continue
                 rr.next()
-                if region > 1 and domain.p2m.sanitizer is None:
-                    domain.p2m.set_entries(
-                        np.arange(gpfn, gpfn + region, dtype=np.int64),
-                        np.arange(mfn, mfn + region, dtype=np.int64),
-                    )
-                else:
-                    for i in range(region):
-                        domain.p2m.set_entry(gpfn + i, mfn + i)
+                domain.p2m.set_entries(
+                    np.arange(gpfn, gpfn + region, dtype=np.int64),
+                    np.arange(mfn, mfn + region, dtype=np.int64),
+                )
                 gpfn += region
                 remaining -= region
                 placed = True

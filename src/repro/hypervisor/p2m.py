@@ -17,10 +17,12 @@ replaced (kept as the test oracle ``tests.oracles.DictP2MTable``) — the
 table is contiguous array state: parallel ``mfn``/``flags``/``node``
 arrays indexed by gpfn, with maintained entry/valid counts. The scalar
 method API is unchanged; ``set_entries``/``invalidate_many``/
-``translate_many`` operate on whole gpfn arrays. When a sanitizer is
-attached the batch entry points delegate to the scalar loops so traps
-fire per-entry in the same order, with the same already-applied prefix,
-as the dict backend.
+``translate_many`` operate on whole gpfn arrays. A batch repeating a
+gpfn means what the per-gpfn loop means (the last ``set_entries`` write
+wins, the first ``invalidate_many``/``remove_many`` hit counts, protect
+and unprotect are idempotent) and stays one array operation. An
+attached sanitizer checks a whole batch with one hook before the arrays
+change, so a trap leaves the table untouched.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ VALID = 2
 WRITABLE = 4
 
 _GpfnArray = Union[Sequence[int], np.ndarray]
+
+
+def _once(gpfns: np.ndarray, last: bool = False) -> Union[slice, np.ndarray]:
+    """Index picking each gpfn once, in input order: its first occurrence,
+    or its last with ``last`` — the one a per-gpfn loop acts on, since a
+    later invalidate finds nothing and a later ``set_entry`` overwrites."""
+    if np.unique(gpfns).size == gpfns.size:
+        return slice(None)
+    order = gpfns[::-1] if last else gpfns
+    _, positions = np.unique(order, return_index=True)
+    if last:
+        positions = gpfns.size - 1 - positions
+    return np.sort(positions)
 
 
 @dataclass
@@ -146,13 +161,15 @@ class P2MTable:
         self._migrations = reg.counter("p2m.migrations", domain=domain_id)
         #: Optional observer notified of mapping changes; the simulation
         #: engine uses it to keep page->node placement views in sync.
-        #: Must provide ``entry_set(gpfn, mfn)`` and ``entry_invalidated(gpfn)``;
-        #: batch mutations use ``entries_set(gpfns, mfns)`` /
-        #: ``entries_invalidated(gpfns)`` when the observer has them.
+        #: Must provide ``entry_set(gpfn, mfn)`` and ``entry_invalidated(gpfn)``
+        #: for the scalar mutations, and ``entries_set(gpfns, mfns)`` and
+        #: ``entries_invalidated(gpfns)`` (duplicate-free arrays) for the
+        #: batch ones.
         self.observer: Optional[object] = None
         #: Optional :class:`repro.lint.sanitizer.P2MSanitizer`; checked
-        #: before every mutation so a trapped violation leaves the table
-        #: unchanged. Attached by the hypervisor when sanitizing.
+        #: (one batch hook per batch mutation) before every mutation so a
+        #: trapped violation leaves the table unchanged. Attached by the
+        #: hypervisor when sanitizing.
         self.sanitizer: Optional[object] = None
         #: When the hypervisor sets this, the ``node`` array mirrors
         #: ``mfn // frames_per_node`` so placement consumers can read
@@ -213,14 +230,14 @@ class P2MTable:
         flags = int(self._flags[gpfn])
         if not flags & VALID:
             return None
+        if self.sanitizer is not None:
+            self.sanitizer.entry_invalidated(self.domain_id, gpfn)
         self._flags[gpfn] = flags & ~VALID
         self._num_valid -= 1
         self.invalidations += 1
         mfn = int(self._mfn[gpfn])
         self._mfn[gpfn] = -1
         self._node[gpfn] = -1
-        if self.sanitizer is not None:
-            self.sanitizer.entry_invalidated(self.domain_id, gpfn)
         if self.observer is not None:
             self.observer.entry_invalidated(gpfn)
         return mfn
@@ -232,6 +249,8 @@ class P2MTable:
         flags = int(self._flags[gpfn])
         if not flags & PRESENT:
             return None
+        if flags & VALID and self.sanitizer is not None:
+            self.sanitizer.entry_invalidated(self.domain_id, gpfn)
         self._num_entries -= 1
         mfn = int(self._mfn[gpfn])
         self._flags[gpfn] = 0
@@ -240,8 +259,6 @@ class P2MTable:
         if not flags & VALID:
             return None
         self._num_valid -= 1
-        if self.sanitizer is not None:
-            self.sanitizer.entry_invalidated(self.domain_id, gpfn)
         if self.observer is not None:
             self.observer.entry_invalidated(gpfn)
         return mfn
@@ -254,10 +271,11 @@ class P2MTable:
     ) -> None:
         """Map each ``gpfns[i]`` to ``mfns[i]`` in one array operation.
 
-        Equivalent to calling :meth:`set_entry` per pair, except that
-        validation is all-or-nothing and the observer sees one batch
-        notification. ``gpfns`` must be duplicate-free (duplicates and
-        sanitized tables fall back to the scalar loop).
+        Equivalent to calling :meth:`set_entry` per pair (a repeated gpfn
+        ends on its last mfn), except that validation is all-or-nothing:
+        the frame-number check and then the sanitizer's batch hook run
+        before anything changes, so an error or trap leaves the table
+        untouched. The observer sees one batch notification.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         mfns = np.asarray(mfns, dtype=np.int64)
@@ -265,12 +283,12 @@ class P2MTable:
             raise P2MError("set_entries needs matching gpfn/mfn arrays")
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
-            for gpfn, mfn in zip(gpfns.tolist(), mfns.tolist()):
-                self.set_entry(gpfn, mfn, writable)
-            return
         if int(gpfns.min()) < 0 or int(mfns.min()) < 0:
             raise P2MError("frame numbers must be non-negative")
+        if self.sanitizer is not None:
+            self.sanitizer.entries_set(self.domain_id, gpfns, mfns)
+        keep = _once(gpfns, last=True)
+        gpfns, mfns = gpfns[keep], mfns[keep]
         self._ensure(int(gpfns.max()))
         flags = self._flags[gpfns]
         self._num_entries += int(np.count_nonzero((flags & PRESENT) == 0))
@@ -281,14 +299,8 @@ class P2MTable:
             self._node[gpfns] = mfns // self.frames_per_node
         else:
             self._node[gpfns] = -1
-        observer = self.observer
-        if observer is not None:
-            batch_hook = getattr(observer, "entries_set", None)
-            if batch_hook is not None:
-                batch_hook(gpfns, mfns)
-            else:
-                for gpfn, mfn in zip(gpfns.tolist(), mfns.tolist()):
-                    observer.entry_set(gpfn, mfn)
+        if self.observer is not None:
+            self.observer.entries_set(gpfns, mfns)
 
     def invalidate_many(
         self, gpfns: _GpfnArray
@@ -297,41 +309,25 @@ class P2MTable:
 
         Returns ``(invalidated_gpfns, mfns)`` in input order — exactly the
         pairs a per-gpfn :meth:`invalidate` loop would have returned, with
-        absent/invalid entries skipped.
+        absent/invalid entries and repeats of an invalidated gpfn skipped.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
-        if self.sanitizer is not None or (
-            gpfns.size and np.unique(gpfns).size != gpfns.size
-        ):
-            hit_gpfns, hit_mfns = [], []
-            for gpfn in gpfns.tolist():
-                mfn = self.invalidate(gpfn)
-                if mfn is not None:
-                    hit_gpfns.append(gpfn)
-                    hit_mfns.append(mfn)
-            return (
-                np.asarray(hit_gpfns, dtype=np.int64),
-                np.asarray(hit_mfns, dtype=np.int64),
-            )
         in_range = (gpfns >= 0) & (gpfns < self._mfn.size)
         sel = gpfns[in_range]
         sel = sel[(self._flags[sel] & VALID) != 0]
         if sel.size == 0:
             return sel, np.empty(0, dtype=np.int64)
+        sel = sel[_once(sel)]
+        if self.sanitizer is not None:
+            self.sanitizer.entries_invalidated(self.domain_id, sel)
         mfns = self._mfn[sel].copy()
         self._flags[sel] &= np.uint8(0xFF ^ VALID)
         self._mfn[sel] = -1
         self._node[sel] = -1
         self._num_valid -= int(sel.size)
         self.invalidations += int(sel.size)
-        observer = self.observer
-        if observer is not None:
-            batch_hook = getattr(observer, "entries_invalidated", None)
-            if batch_hook is not None:
-                batch_hook(sel)
-            else:
-                for gpfn in sel.tolist():
-                    observer.entry_invalidated(gpfn)
+        if self.observer is not None:
+            self.observer.entries_invalidated(sel)
         return sel, mfns
 
     def remove_many(self, gpfns: _GpfnArray) -> np.ndarray:
@@ -339,37 +335,24 @@ class P2MTable:
 
         The returned mfns keep input order, exactly the non-None results
         a per-gpfn remove loop would have produced (domain teardown frees
-        them wholesale).
+        them wholesale); a repeated gpfn counts at its first occurrence.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
-        if self.sanitizer is not None or (
-            gpfns.size and np.unique(gpfns).size != gpfns.size
-        ):
-            mfns = [
-                mfn
-                for mfn in (self.remove(gpfn) for gpfn in gpfns.tolist())
-                if mfn is not None
-            ]
-            return np.asarray(mfns, dtype=np.int64)
         in_range = (gpfns >= 0) & (gpfns < self._mfn.size)
         sel = gpfns[in_range]
-        flags = self._flags[sel]
-        present = sel[(flags & PRESENT) != 0]
-        valid = sel[(flags & VALID) != 0]
+        present = sel[(self._flags[sel] & PRESENT) != 0]
+        present = present[_once(present)]
+        valid = present[(self._flags[present] & VALID) != 0]
+        if self.sanitizer is not None and valid.size:
+            self.sanitizer.entries_invalidated(self.domain_id, valid)
         mfns = self._mfn[valid].copy()
         self._num_entries -= int(present.size)
         self._num_valid -= int(valid.size)
         self._flags[present] = 0
         self._mfn[present] = -1
         self._node[present] = -1
-        observer = self.observer
-        if observer is not None and valid.size:
-            batch_hook = getattr(observer, "entries_invalidated", None)
-            if batch_hook is not None:
-                batch_hook(valid)
-            else:
-                for gpfn in valid.tolist():
-                    observer.entry_invalidated(gpfn)
+        if self.observer is not None and valid.size:
+            self.observer.entries_invalidated(valid)
         return mfns
 
     # ------------------------------------------------------------------
@@ -501,19 +484,18 @@ class P2MTable:
         """Clear the writable bit of every ``gpfns`` entry in one operation.
 
         Pre-copy live migration protects a whole copy round's pages this
-        way. Equivalent to a per-gpfn :meth:`write_protect` loop — all
-        entries must be valid (raises on the first that is not), and
-        sanitized tables or duplicate inputs delegate to the scalar loop
-        so traps fire per-entry in input order.
+        way. Equivalent to a per-gpfn :meth:`write_protect` loop (clearing
+        a bit twice is clearing it once), but all-or-nothing: every entry
+        must be valid (raises on the first that is not), and the
+        sanitizer's batch hook — which traps a gpfn protected twice, in
+        this batch or before it — runs before any bit changes.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
-            for gpfn in gpfns.tolist():
-                self.write_protect(gpfn)
-            return
         self._require_valid_many(gpfns)
+        if self.sanitizer is not None:
+            self.sanitizer.entries_write_protected(self.domain_id, gpfns)
         self._flags[gpfns] &= np.uint8(0xFF ^ WRITABLE)
 
     def unprotect_many(self, gpfns: _GpfnArray) -> None:
@@ -521,17 +503,15 @@ class P2MTable:
 
         The stop-and-copy cutover releases the final round's protections
         with this. Same contract as :meth:`write_protect_many`: per-gpfn
-        :meth:`unprotect` semantics, scalar fallback when sanitized or
-        given duplicates.
+        :meth:`unprotect` semantics, validated and sanitizer-checked as a
+        whole before any bit changes.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
-            for gpfn in gpfns.tolist():
-                self.unprotect(gpfn)
-            return
         self._require_valid_many(gpfns)
+        if self.sanitizer is not None:
+            self.sanitizer.entries_unprotected(self.domain_id, gpfns)
         self._flags[gpfns] |= np.uint8(WRITABLE)
 
     def writable_mask(self, gpfns: _GpfnArray) -> np.ndarray:

@@ -15,15 +15,30 @@ The static rules freeze the architecture; this module checks the
 One :class:`P2MSanitizer` is owned by one hypervisor and attached to its
 machine memory and to each domain's p2m table (``.sanitizer``
 attributes, ``None`` when disabled — the hooks cost one attribute check
-each). Enable globally with :func:`enable` (the tier-1 test suite does,
-via ``tests/conftest.py``) or per-run with ``SimConfig.sanitize_p2m``.
+each). Each batch page operation calls one batch hook and stays an
+array operation while armed. A batch hook walks the batch in input
+order against the shadow state and the batch's own earlier elements,
+then records the whole batch or raises, for the first bad element, the
+scalar hook's message, recording nothing. Scalar hooks are one-element
+batches. Enable globally with :func:`enable` (the tier-1 test suite
+does, via ``tests/conftest.py``) or per-run with ``SimConfig.sanitize_p2m``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.errors import SanitizerError
+
+_Frames = Union[Sequence[int], np.ndarray]
+
+
+def _ints(values: _Frames) -> List[int]:
+    """A frame or gpfn batch as plain ints, in input order."""
+    return np.asarray(values, dtype=np.int64).tolist()
+
 
 class _SanitizerMode:
     """Holds the process-wide global-enable switch.
@@ -83,9 +98,18 @@ class P2MSanitizer:
         """A run of ``count`` frames starting at ``mfn`` left the heap."""
         self._allocated.update(range(mfn, mfn + count))
 
+    def frames_allocated_many(self, mfns: _Frames) -> None:
+        """``alloc_singles``: a batch of single frames left the heap."""
+        self._allocated.update(_ints(mfns))
+
     def frames_freed(self, mfn: int, count: int) -> None:
         """A run of frames is about to return to the heap."""
-        for frame in range(mfn, mfn + count):
+        self.frames_freed_many(range(mfn, mfn + count))
+
+    def frames_freed_many(self, mfns: _Frames) -> None:
+        """``free_frames_many``: a batch of frames is about to return."""
+        frames = _ints(mfns)
+        for frame in frames:
             owner = self._owners.get(frame)
             if owner is not None:
                 raise SanitizerError(
@@ -93,60 +117,84 @@ class P2MSanitizer:
                     f"{owner[0]} gpfn {owner[1]:#x}; invalidate or remap "
                     f"the entry before freeing its frame"
                 )
-        self._allocated.difference_update(range(mfn, mfn + count))
+        self._allocated.difference_update(frames)
 
     # ------------------------------------------------------------------
     # P2M table hooks (called before the table mutates)
 
     def entry_set(self, domain_id: int, gpfn: int, mfn: int) -> None:
         """``set_entry``: map/revalidate ``gpfn`` onto ``mfn``."""
-        key = (domain_id, gpfn)
-        if key in self._protected:
-            raise SanitizerError(
-                f"set_entry on write-protected domain {domain_id} gpfn "
-                f"{gpfn:#x}: an in-flight migration must finish (remap) "
-                f"or abort (unprotect) first"
-            )
-        if mfn not in self._allocated:
-            raise SanitizerError(
-                f"mapping frame {mfn:#x} that is not allocated from the "
-                f"heap (freed or never allocated) at domain {domain_id} "
-                f"gpfn {gpfn:#x}"
-            )
-        owner = self._owners.get(mfn)
-        if owner is not None and owner != key:
-            raise SanitizerError(
-                f"double map of frame {mfn:#x}: already backs domain "
-                f"{owner[0]} gpfn {owner[1]:#x}, now mapped at domain "
-                f"{domain_id} gpfn {gpfn:#x}"
-            )
-        old_mfn = self._backing.get(key)
-        if old_mfn is not None and old_mfn != mfn:
-            raise SanitizerError(
-                f"overwriting live mapping of domain {domain_id} gpfn "
-                f"{gpfn:#x} (frame {old_mfn:#x} -> {mfn:#x}) without "
-                f"invalidate or migrate; the old frame would leak"
-            )
-        self._owners[mfn] = key
-        self._backing[key] = mfn
+        self.entries_set(domain_id, (gpfn,), (mfn,))
+
+    def entries_set(self, domain_id: int, gpfns: _Frames, mfns: _Frames) -> None:
+        """``set_entries``: map/revalidate each ``gpfns[i]`` onto ``mfns[i]``."""
+        # The batch's own mappings shadow the recorded ones, so an element
+        # conflicts with earlier elements exactly as with earlier calls.
+        owners: Dict[int, Tuple[int, int]] = {}
+        backing: Dict[Tuple[int, int], int] = {}
+        for gpfn, mfn in zip(_ints(gpfns), _ints(mfns)):
+            key = (domain_id, gpfn)
+            if key in self._protected:
+                raise SanitizerError(
+                    f"set_entry on write-protected domain {domain_id} gpfn "
+                    f"{gpfn:#x}: an in-flight migration must finish (remap) "
+                    f"or abort (unprotect) first"
+                )
+            if mfn not in self._allocated:
+                raise SanitizerError(
+                    f"mapping frame {mfn:#x} that is not allocated from the "
+                    f"heap (freed or never allocated) at domain {domain_id} "
+                    f"gpfn {gpfn:#x}"
+                )
+            owner = owners.get(mfn, self._owners.get(mfn))
+            if owner is not None and owner != key:
+                raise SanitizerError(
+                    f"double map of frame {mfn:#x}: already backs domain "
+                    f"{owner[0]} gpfn {owner[1]:#x}, now mapped at domain "
+                    f"{domain_id} gpfn {gpfn:#x}"
+                )
+            old_mfn = backing.get(key, self._backing.get(key))
+            if old_mfn is not None and old_mfn != mfn:
+                raise SanitizerError(
+                    f"overwriting live mapping of domain {domain_id} gpfn "
+                    f"{gpfn:#x} (frame {old_mfn:#x} -> {mfn:#x}) without "
+                    f"invalidate or migrate; the old frame would leak"
+                )
+            owners[mfn] = key
+            backing[key] = mfn
+        self._owners.update(owners)
+        self._backing.update(backing)
 
     def entry_invalidated(self, domain_id: int, gpfn: int) -> None:
         """``invalidate``/``remove``: ``gpfn`` no longer translates."""
-        key = (domain_id, gpfn)
-        mfn = self._backing.pop(key, None)
-        if mfn is not None:
-            self._owners.pop(mfn, None)
-        self._protected.discard(key)
+        self.entries_invalidated(domain_id, (gpfn,))
+
+    def entries_invalidated(self, domain_id: int, gpfns: _Frames) -> None:
+        """``invalidate_many``/``remove_many``: the ``gpfns`` entries that
+        were valid no longer translate."""
+        for gpfn in _ints(gpfns):
+            key = (domain_id, gpfn)
+            mfn = self._backing.pop(key, None)
+            if mfn is not None:
+                self._owners.pop(mfn, None)
+            self._protected.discard(key)
 
     def entry_write_protected(self, domain_id: int, gpfn: int) -> None:
         """``write_protect``: migration step one."""
-        key = (domain_id, gpfn)
-        if key in self._protected:
-            raise SanitizerError(
-                f"double write_protect of domain {domain_id} gpfn "
-                f"{gpfn:#x}: a migration of this page is already in flight"
-            )
-        self._protected.add(key)
+        self.entries_write_protected(domain_id, (gpfn,))
+
+    def entries_write_protected(self, domain_id: int, gpfns: _Frames) -> None:
+        """``write_protect_many``: migration step one for a whole batch."""
+        staged: Set[Tuple[int, int]] = set()
+        for gpfn in _ints(gpfns):
+            key = (domain_id, gpfn)
+            if key in self._protected or key in staged:
+                raise SanitizerError(
+                    f"double write_protect of domain {domain_id} gpfn "
+                    f"{gpfn:#x}: a migration of this page is already in flight"
+                )
+            staged.add(key)
+        self._protected.update(staged)
 
     def entry_remapped(
         self, domain_id: int, gpfn: int, old_mfn: int, new_mfn: int
@@ -195,10 +243,17 @@ class P2MSanitizer:
 
     def entry_unprotected(self, domain_id: int, gpfn: int) -> None:
         """``unprotect``: a migration was aborted."""
-        key = (domain_id, gpfn)
-        if key not in self._protected:
-            raise SanitizerError(
-                f"unprotect of domain {domain_id} gpfn {gpfn:#x} that "
-                f"was never write-protected"
-            )
-        self._protected.discard(key)
+        self.entries_unprotected(domain_id, (gpfn,))
+
+    def entries_unprotected(self, domain_id: int, gpfns: _Frames) -> None:
+        """``unprotect_many``: the migrations of a whole batch were aborted."""
+        staged: Set[Tuple[int, int]] = set()
+        for gpfn in _ints(gpfns):
+            key = (domain_id, gpfn)
+            if key not in self._protected or key in staged:
+                raise SanitizerError(
+                    f"unprotect of domain {domain_id} gpfn {gpfn:#x} that "
+                    f"was never write-protected"
+                )
+            staged.add(key)
+        self._protected.difference_update(staged)

@@ -583,17 +583,15 @@ class _XenContext(_PolicyContext):
     def touch_segment(self, run, segment, toucher) -> bool:
         """Initialise a whole untouched segment through the batch paths.
 
-        The fast path needs: no sanitizer (scalar delegation keeps trap
-        order exact), a fully untouched segment,
-        and a contiguous guest allocation (so the segment registers as
-        one key range). The p2m entries then split into a translating
+        The fast path needs a fully untouched segment and a contiguous
+        guest allocation (so the segment registers as one key range);
+        an attached sanitizer checks the batch operations themselves.
+        The p2m entries then split into a translating
         subset (booted mapped) and a faulting subset (first-touch), each
         resolved with one array operation; every counter, placement
         version and float accumulator advances exactly as the per-page
         loop's.
         """
-        if self.hypervisor.sanitizer is not None:
-            return False
         if (segment.keys >= 0).any():
             return False
         count = segment.num_pages
@@ -691,6 +689,24 @@ class _XenContext(_PolicyContext):
         # Shuts a Carrefour policy down, which breaks its engine's
         # callback cycles.
         self.hypervisor.policy_manager.forget_domain(self.domain)
+
+
+def _boot_base(policy: PolicySpec) -> PolicyName:
+    """The static placement a domain boots with before its runtime policy."""
+    if policy.base is PolicyName.ROUND_1G:
+        return PolicyName.ROUND_1G
+    return PolicyName.ROUND_4K
+
+
+def _select_runtime_policy(patch: PvNumaPatch, policy: PolicySpec) -> None:
+    """Select ``policy`` at run time through the real hypercall."""
+    if policy.base is PolicyName.FIRST_TOUCH:
+        patch.select_policy(
+            PolicyName.FIRST_TOUCH.value, carrefour=policy.carrefour
+        )
+        patch.report_free_pages()
+    elif policy.carrefour:
+        patch.select_policy(_boot_base(policy).value, carrefour=True)
 
 
 class XenEnvironment(Environment):
@@ -800,16 +816,11 @@ class XenEnvironment(Environment):
         """
         context = run.context
         source = context.domain
-        boot_base = (
-            PolicyName.ROUND_1G
-            if context.policy_spec.base is PolicyName.ROUND_1G
-            else PolicyName.ROUND_4K
-        )
         return host.hypervisor.create_domain(
             name=source.name,
             num_vcpus=source.num_vcpus,
             memory_pages=source.memory_pages,
-            boot_policy=PolicySpec(boot_base),
+            boot_policy=PolicySpec(_boot_base(context.policy_spec)),
         )
 
     def complete_migration(self, run: AppRun, dest_host: Host, domain) -> None:
@@ -835,21 +846,9 @@ class XenEnvironment(Environment):
             batch_size=self.queue_batch,
             num_partitions=self.queue_partitions,
         )
-        spec_policy = context.policy_spec
-        boot_base = (
-            PolicyName.ROUND_1G
-            if spec_policy.base is PolicyName.ROUND_1G
-            else PolicyName.ROUND_4K
-        )
         # The same runtime selection `_setup_vm` performed, re-run against
         # the destination hypervisor (fresh policy state, fresh placement).
-        if spec_policy.base is PolicyName.FIRST_TOUCH:
-            patch.select_policy(
-                PolicyName.FIRST_TOUCH.value, carrefour=spec_policy.carrefour
-            )
-            patch.report_free_pages()
-        elif spec_policy.carrefour:
-            patch.select_policy(boot_base.value, carrefour=True)
+        _select_runtime_policy(patch, context.policy_spec)
         context.rebind_host(hypervisor, domain, patch)
 
         for thread in run.threads:
@@ -890,12 +889,18 @@ class XenEnvironment(Environment):
         Exposed so cluster placement can score hosts for a VM *before*
         any domain exists.
         """
+        return self._vm_geometry(spec, num_cpus)[2]
+
+    def _vm_geometry(self, spec: VmSpec, num_cpus: int) -> Tuple[int, int, int]:
+        """``(gib_pages, app_pages, memory_pages)``: the first GiB, the
+        guest allocator's pages (footprint plus slack), the VM size."""
         num_vcpus = spec.num_vcpus or num_cpus
         gib_pages = max(1, GIB // self.config.page_bytes)
         footprint_pages = self.config.pages_for_bytes(spec.app.footprint_bytes)
-        alloc_slack = num_vcpus + 256
-        middle_pages = max(footprint_pages + alloc_slack, 8 * gib_pages)
-        return spec.memory_pages or (middle_pages + 2 * gib_pages)
+        app_pages = footprint_pages + num_vcpus + 256
+        middle_pages = max(app_pages, 8 * gib_pages)
+        memory_pages = spec.memory_pages or (middle_pages + 2 * gib_pages)
+        return gib_pages, app_pages, memory_pages
 
     def _setup_vm(
         self,
@@ -907,31 +912,21 @@ class XenEnvironment(Environment):
         machine = hypervisor.machine
         app = spec.app
         num_vcpus = spec.num_vcpus or machine.num_cpus
-        gib_pages = max(1, GIB // self.config.page_bytes)
-        footprint_pages = self.config.pages_for_bytes(app.footprint_bytes)
-        alloc_slack = num_vcpus + 256
-        memory_pages = self.vm_memory_pages(spec, machine.num_cpus)
-
-        boot_base = (
-            PolicyName.ROUND_1G
-            if spec.policy.base is PolicyName.ROUND_1G
-            else PolicyName.ROUND_4K
+        gib_pages, app_pages, memory_pages = self._vm_geometry(
+            spec, machine.num_cpus
         )
         domain = hypervisor.create_domain(
             name=app.name,
             num_vcpus=num_vcpus,
             memory_pages=memory_pages,
             home_nodes=spec.home_nodes,
-            boot_policy=PolicySpec(boot_base),
+            boot_policy=PolicySpec(_boot_base(spec.policy)),
             pin_pcpus=spec.pin_pcpus,
         )
 
         # Guest allocator: the kernel owns the (fragmented) first GiB, so
         # application memory comes from the round-1G-chunked middle.
-        guest_alloc = GuestPageAllocator(
-            first_gpfn=gib_pages,
-            num_pages=footprint_pages + alloc_slack,
-        )
+        guest_alloc = GuestPageAllocator(first_gpfn=gib_pages, num_pages=app_pages)
         external = ExternalInterface(hypervisor.hypercalls, domain.domain_id)
         patch = PvNumaPatch(
             guest_alloc,
@@ -940,14 +935,7 @@ class XenEnvironment(Environment):
             num_partitions=self.queue_partitions,
         )
 
-        # Runtime policy selection through the real hypercall.
-        if spec.policy.base is PolicyName.FIRST_TOUCH:
-            patch.select_policy(
-                PolicyName.FIRST_TOUCH.value, carrefour=spec.policy.carrefour
-            )
-            patch.report_free_pages()
-        elif spec.policy.carrefour:
-            patch.select_policy(boot_base.value, carrefour=True)
+        _select_runtime_policy(patch, spec.policy)
 
         threads = []
         for tid in range(num_vcpus):

@@ -4,7 +4,6 @@ from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.hardware.presets import small_machine
 from repro.hypervisor import domain as domain_module
-from repro.lint import sanitizer as p2m_sanitizer
 from repro.sim.engine import run_world
 from repro.sim.environment import VmSpec, XenEnvironment
 from repro.workloads.suite import get_app
@@ -33,19 +32,15 @@ class TestScalarOracleEquivalence:
         dict-of-entries oracle table: identical results (the report-level
         byte-identity check in miniature)."""
         config = SimConfig()
-        p2m_sanitizer.disable()  # exercise the real array paths
-        try:
-            vec = run_world(_small_world(config))
-            with monkeypatch.context() as patch:
-                patch.setattr(domain_module, "P2MTable", DictP2MTable)
-                world = _small_world(config)
-                assert all(
-                    isinstance(run.context.domain.p2m, DictP2MTable)
-                    for run in world.runs
-                )
-                scalar = run_world(world)
-        finally:
-            p2m_sanitizer.enable()
+        vec = run_world(_small_world(config))
+        with monkeypatch.context() as patch:
+            patch.setattr(domain_module, "P2MTable", DictP2MTable)
+            world = _small_world(config)
+            assert all(
+                isinstance(run.context.domain.p2m, DictP2MTable)
+                for run in world.runs
+            )
+            scalar = run_world(world)
         assert [r.completion_seconds for r in vec] == [
             r.completion_seconds for r in scalar
         ]
